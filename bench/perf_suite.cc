@@ -56,7 +56,6 @@
 //               (also accepted as --sustained). KAIROS_SUSTAINED_QUERIES
 //               overrides the query count in any mode (sanitizer jobs run
 //               the sustained path at a tiny scale this way).
-#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -560,12 +559,19 @@ std::vector<Metric> ServeAllWallClock(double duration_s, bool gate_overhead) {
   return metrics;
 }
 
-/// Peak resident set size of this process so far, in MB (Linux ru_maxrss
-/// is in KB).
+/// Peak resident set size of this process so far, in MB: VmHWM from
+/// /proc/self/status. Not getrusage's ru_maxrss, which survives exec and
+/// so reports a large parent's peak (a Python driver's) as this one's.
 double PeakRssMb() {
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // kB
+    }
+  }
+  std::cerr << "FATAL: cannot read VmHWM from /proc/self/status\n";
+  std::exit(1);
 }
 
 /// The million-user scale path under load: generates an overload trace CSV

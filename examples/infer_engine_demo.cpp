@@ -10,6 +10,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/parallel.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "infer/rec_models.h"
@@ -18,7 +19,7 @@ int main(int argc, char** argv) {
   using namespace kairos;
   const std::size_t threads =
       argc > 1 ? static_cast<std::size_t>(std::stoul(argv[1])) : 0;
-  infer::ThreadPool pool(threads);
+  ThreadPool pool(threads);
   std::cout << "thread pool: " << pool.thread_count() << " worker(s)\n";
 
   const std::vector<std::size_t> batches = {8, 32, 64, 128, 256, 512};

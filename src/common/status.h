@@ -1,8 +1,7 @@
 // Lightweight error handling for the public API. Fallible entry points —
 // registry lookups, facade construction, fleet planning — return a Status
 // (or StatusOr<T>) instead of throwing, so callers can branch on the error
-// and print the message; exceptions remain only behind the deprecated
-// shims that predate this header (see DESIGN.md Sec. 7).
+// and print the message.
 #pragma once
 
 #include <cstdlib>

@@ -3,16 +3,19 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "chaos/injector.h"
 #include "common/parallel.h"
 #include "common/strings.h"
-#include "control/controllers.h"
 #include "latency/model_zoo.h"
 #include "policy/registry.h"
 #include "rpc/netem.h"
@@ -21,8 +24,6 @@
 
 namespace kairos::core {
 namespace {
-
-constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 
 /// Cheapest way to rent one base instance, the floor for a feasible share.
 StatusOr<double> MinBasePrice(const cloud::Catalog& catalog) {
@@ -64,23 +65,37 @@ bool IsFileBackedTrace(const std::string& canonical) {
   return canonical == "STREAM" || canonical == "TRACE";
 }
 
-/// Wires the real-measurement evaluator of an evaluation-driven backend
-/// (KAIROS+, BRUTE-FORCE) into `request`: configs are measured against a
-/// snapshot of `monitor`'s mix in a nested simulation. An empty window
-/// comes back as a Status without model context — each caller prefixes
-/// the model name exactly once. Shared by PlanAll and the in-serve
-/// rebalance so the two paths cannot drift.
-Status WireEvaluator(const Kairos& session,
-                     const workload::QueryMonitor& monitor,
-                     PlanRequest& request) {
-  auto mix = monitor.Snapshot();
-  if (!mix.ok()) return mix.status();
-  request.eval = [&session,
-                  mix = *std::move(mix)](const cloud::Config& config) {
-    serving::EvalOptions eval_options;
-    return session.MeasureThroughput(config, mix, eval_options).qps;
-  };
-  return Status::Ok();
+/// `status` prefixed with the serving name of the model it concerns —
+/// every per-model failure carries exactly one such prefix.
+Status ForModel(const std::string& name, const Status& status) {
+  return Status(status.code(), "model " + name + ": " + status.message());
+}
+
+/// Barrier kinds of ServeAll's merged grid (the flags TelemetrySink
+/// records per barrier).
+enum : unsigned { kWindowBarrier = 1u, kDecisionBarrier = 2u,
+                  kChaosBarrier = 4u };
+
+/// A time this close below the horizon *is* the horizon.
+constexpr double kHorizonEps = 1e-9;
+
+/// The first action of one of `kinds` on each model, in list order: each
+/// model takes at most one change of a kind per barrier. Targets must be
+/// validated (< n) already.
+std::vector<const control::ControlAction*> FirstPerModel(
+    const std::vector<control::ControlAction>& actions, std::size_t n,
+    std::initializer_list<control::ControlActionKind> kinds) {
+  std::vector<bool> seen(n, false);
+  std::vector<const control::ControlAction*> first;
+  for (const control::ControlAction& action : actions) {
+    if (std::find(kinds.begin(), kinds.end(), action.kind) == kinds.end() ||
+        seen[action.model]) {
+      continue;
+    }
+    seen[action.model] = true;
+    first.push_back(&action);
+  }
+  return first;
 }
 
 /// Chaos-aware N-1 padding (DESIGN.md Sec. 11). Instances are assigned
@@ -215,10 +230,7 @@ StatusOr<Fleet> Fleet::Create(const cloud::Catalog& catalog,
       }
     } else {
       auto trace = MakeTrace(m.trace);
-      if (!trace.ok()) {
-        return Status(trace.status().code(), "model " + serve_name(m) + ": " +
-                                                 trace.status().message());
-      }
+      if (!trace.ok()) return ForModel(serve_name(m), trace.status());
       mix = *std::move(trace);
     }
     fleet.names_.push_back(serve_name(m));
@@ -281,11 +293,11 @@ StatusOr<Fleet> Fleet::Create(const cloud::Catalog& catalog,
   return fleet;
 }
 
-std::size_t Fleet::IndexOf(const std::string& model) const {
+StatusOr<std::size_t> Fleet::IndexOf(const std::string& model) const {
   for (std::size_t i = 0; i < names_.size(); ++i) {
     if (names_[i] == model) return i;
   }
-  return kNpos;
+  return Status::NotFound("model " + model + " is not in this fleet");
 }
 
 const workload::BatchDistribution& Fleet::MixFor(
@@ -294,28 +306,22 @@ const workload::BatchDistribution& Fleet::MixFor(
 }
 
 StatusOr<const Kairos*> Fleet::Session(const std::string& model) const {
-  const std::size_t i = IndexOf(model);
-  if (i == kNpos) {
-    return Status::NotFound("model " + model + " is not in this fleet");
-  }
-  return &sessions_[i];
+  const auto i = IndexOf(model);
+  if (!i.ok()) return i.status();
+  return &sessions_[*i];
 }
 
 StatusOr<double> Fleet::BudgetFor(const std::string& model) const {
-  const std::size_t i = IndexOf(model);
-  if (i == kNpos) {
-    return Status::NotFound("model " + model + " is not in this fleet");
-  }
-  return budgets_[i];
+  const auto i = IndexOf(model);
+  if (!i.ok()) return i.status();
+  return budgets_[*i];
 }
 
 Status Fleet::ObserveMix(const std::string& model,
                          const workload::BatchDistribution& mix) {
-  const std::size_t i = IndexOf(model);
-  if (i == kNpos) {
-    return Status::NotFound("model " + model + " is not in this fleet");
-  }
-  sessions_[i].ObserveMix(MixFor(i, mix));
+  const auto i = IndexOf(model);
+  if (!i.ok()) return i.status();
+  sessions_[*i].ObserveMix(MixFor(*i, mix));
   return Status::Ok();
 }
 
@@ -325,68 +331,147 @@ void Fleet::ObserveMixAll(const workload::BatchDistribution& mix) {
   }
 }
 
+StatusOr<std::vector<std::size_t>> Fleet::Resolve(const FleetPlan& plan) const {
+  std::vector<std::size_t> indices;
+  indices.reserve(plan.models.size());
+  for (const FleetModelPlan& model_plan : plan.models) {
+    const auto i = IndexOf(model_plan.model);
+    if (!i.ok()) return i.status();
+    indices.push_back(*i);
+  }
+  return indices;
+}
+
+bool Fleet::NMinusOne(std::size_t i) const {
+  return model_options_[i].plan_n_minus_one &&
+         model_options_[i].failure_domains >= 2;
+}
+
+StatusOr<std::vector<double>> Fleet::SplitBudget(
+    const BudgetAllocator& allocator, const PlannerBackend& backend,
+    const std::vector<std::size_t>& indices, const std::vector<double>& demand,
+    const std::vector<const workload::QueryMonitor*>& monitors,
+    const search::SearchOptions& search) const {
+  AllocationProblem problem;
+  problem.budget_per_hour = options_.budget_per_hour;
+  problem.step_per_hour = options_.allocation_step_per_hour;
+  problem.threads = options_.planning_threads;
+  for (std::size_t j = 0; j < indices.size(); ++j) {
+    const std::size_t i = indices[j];
+    problem.models.push_back(AllocModel{names_[i], model_options_[i].weight,
+                                        demand[j], floors_[i], ceilings_[i]});
+  }
+  // The probe answers "what would the backend achieve for model j at
+  // budget b" analytically (PlannerBackend::Probe), so the MARGINAL
+  // allocator can afford one probe per candidate per increment; probes
+  // of independent models run concurrently.
+  problem.probe = [&](std::size_t j, double budget) -> StatusOr<double> {
+    const Kairos& session = sessions_[indices[j]];
+    PlannerContext ctx{&catalog_, &session.truth(), session.qos_ms(), budget};
+    PlanRequest request;
+    request.monitor = monitors[j];
+    request.search = search;
+    auto outcome = backend.Probe(ctx, request);
+    if (!outcome.ok()) return outcome.status();
+    return outcome->expected_qps;
+  };
+  return allocator.Allocate(problem);
+}
+
+StatusOr<PlannerOutcome> Fleet::PlanInShare(
+    const PlannerBackend& backend, std::size_t i, double share,
+    const workload::QueryMonitor& monitor, const search::SearchOptions& search,
+    bool n_minus_one, telemetry::Telemetry* tel) const {
+  const Kairos& session = sessions_[i];
+  // Chaos-aware N-1 sizing (DESIGN.md Sec. 11): the core is planned inside
+  // (d-1)/d of the share, never below the model's floor (a small share
+  // shrunk by (d-1)/d must not turn a feasible model infeasible), then
+  // padded so losing the largest failure domain leaves it intact.
+  const bool padded = n_minus_one && NMinusOne(i);
+  const std::size_t domains = model_options_[i].failure_domains;
+  const double core_budget =
+      padded ? std::max(share * static_cast<double>(domains - 1) /
+                            static_cast<double>(domains),
+                        std::min(share, floors_[i]))
+             : share;
+  PlannerContext ctx{&catalog_, &session.truth(), session.qos_ms(),
+                     core_budget};
+  PlanRequest request;
+  request.monitor = &monitor;
+  request.search = search;
+  std::atomic<std::uint64_t> trials{0};
+  if (backend.NeedsEvaluations()) {
+    // Evaluation-driven backends (KAIROS+, BRUTE-FORCE) measure configs
+    // against a snapshot of the planning mix in a nested simulation that
+    // never touches a co-simulation clock.
+    auto mix = monitor.Snapshot();
+    if (!mix.ok()) return ForModel(names_[i], mix.status());
+    request.eval = [&session,
+                    mix = *std::move(mix)](const cloud::Config& config) {
+      serving::EvalOptions eval_options;
+      return session.MeasureThroughput(config, mix, eval_options).qps;
+    };
+    if (tel != nullptr) {
+      // Per-trial evaluation spans. Trials may run on the search pool
+      // (eval_threads > 1): span emission rides the tracer's per-shard
+      // mutex, and the trial count lands on the fleet shard's counter
+      // once, back on this thread.
+      request.eval = [inner = std::move(request.eval), tracer = &tel->tracer(),
+                      shard = tel->fleet_shard(), &trials,
+                      name = names_[i]](const cloud::Config& config) {
+        telemetry::ScopedSpan span(tracer, shard, "planner.eval");
+        span.AddArg("model", name);
+        span.AddArg("instances", std::to_string(config.TotalInstances()));
+        trials.fetch_add(1, std::memory_order_relaxed);
+        return inner(config);
+      };
+    }
+  }
+  auto outcome = backend.Plan(ctx, request);
+  if (tel != nullptr && request.eval != nullptr) {
+    tel->metrics().Add(tel->planner_trials(), tel->fleet_shard(),
+                       static_cast<double>(trials.load()));
+  }
+  if (!outcome.ok()) return ForModel(names_[i], outcome.status());
+  if (padded) {
+    outcome->config =
+        PadForDomainLoss(outcome->config, domains, share, catalog_);
+  }
+  return outcome;
+}
+
 StatusOr<FleetPlan> Fleet::PlanAll(const search::SearchOptions& search) const {
   auto backend = PlannerRegistry::Global().Build(options_.planner);
   if (!backend.ok()) return backend.status();
   auto allocator = AllocatorRegistry::Global().Build(options_.allocator);
   if (!allocator.ok()) return allocator.status();
 
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
+  const std::size_t n = sessions_.size();
+  std::vector<std::size_t> indices(n);
+  std::vector<double> demand(n);
+  std::vector<const workload::QueryMonitor*> monitors(n);
+  for (std::size_t i = 0; i < n; ++i) {
     if (sessions_[i].monitor().Count() == 0) {
       return Status::FailedPrecondition(
           "model " + names_[i] +
           ": monitor is empty; call ObserveMix before PlanAll");
     }
+    indices[i] = i;
+    demand[i] = model_options_[i].arrival_scale;
+    monitors[i] = &sessions_[i].monitor();
   }
-
-  // Split the budget. The probe answers "what would the backend achieve
-  // for model i at budget b" analytically (PlannerBackend::Probe), so the
-  // MARGINAL allocator can afford one probe per candidate per increment;
-  // probes of independent models run concurrently.
-  AllocationProblem problem;
-  problem.budget_per_hour = options_.budget_per_hour;
-  problem.step_per_hour = options_.allocation_step_per_hour;
-  problem.threads = options_.planning_threads;
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    problem.models.push_back(AllocModel{names_[i], model_options_[i].weight,
-                                        model_options_[i].arrival_scale,
-                                        floors_[i], ceilings_[i]});
-  }
-  problem.probe = [&](std::size_t i, double budget) -> StatusOr<double> {
-    const Kairos& session = sessions_[i];
-    PlannerContext ctx{&catalog_, &session.truth(), session.qos_ms(), budget};
-    PlanRequest request;
-    request.monitor = &session.monitor();
-    request.search = search;
-    auto outcome = (*backend)->Probe(ctx, request);
-    if (!outcome.ok()) return outcome.status();
-    return outcome->expected_qps;
-  };
-  auto shares = (*allocator)->Allocate(problem);
+  auto shares =
+      SplitBudget(**allocator, **backend, indices, demand, monitors, search);
   if (!shares.ok()) return shares.status();
 
   // Plan every model inside its share, concurrently: sessions, planner
   // backends and allocators are stateless const objects, and each worker
   // writes only its own slot.
-  const std::size_t n = sessions_.size();
   std::vector<Status> statuses(n);
   std::vector<PlannerOutcome> outcomes(n);
   ParallelFor(n, options_.planning_threads, [&](std::size_t i) {
-    const Kairos& session = sessions_[i];
-    PlannerContext ctx{&catalog_, &session.truth(), session.qos_ms(),
-                       (*shares)[i]};
-    PlanRequest request;
-    request.monitor = &session.monitor();
-    request.search = search;
-    if ((*backend)->NeedsEvaluations()) {
-      // Evaluate against the model's own monitored workload. The empty-
-      // window precondition was checked above, so a failure here would be
-      // a programming error — still surfaced as this model's Status.
-      // The result loop below adds the "model X:" prefix.
-      statuses[i] = WireEvaluator(session, session.monitor(), request);
-      if (!statuses[i].ok()) return;
-    }
-    auto outcome = (*backend)->Plan(ctx, request);
+    auto outcome = PlanInShare(**backend, i, (*shares)[i], *monitors[i],
+                               search, /*n_minus_one=*/false, nullptr);
     if (!outcome.ok()) {
       statuses[i] = outcome.status();
     } else {
@@ -397,10 +482,7 @@ StatusOr<FleetPlan> Fleet::PlanAll(const search::SearchOptions& search) const {
   FleetPlan plan;
   plan.budget_per_hour = options_.budget_per_hour;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!statuses[i].ok()) {
-      return Status(statuses[i].code(),
-                    "model " + names_[i] + ": " + statuses[i].message());
-    }
+    if (!statuses[i].ok()) return statuses[i];
     FleetModelPlan model_plan;
     model_plan.model = names_[i];
     model_plan.budget_per_hour = (*shares)[i];
@@ -413,39 +495,285 @@ StatusOr<FleetPlan> Fleet::PlanAll(const search::SearchOptions& search) const {
   return plan;
 }
 
-StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
-                                           FleetServeOptions options) const {
-  if (options.duration_s <= 0.0 || options.base_rate_qps <= 0.0 ||
-      options.window_s <= 0.0) {
-    return Status::InvalidArgument(
-        "ServeAll needs positive duration_s, base_rate_qps and window_s");
-  }
-  if (options.realloc_period_s < 0.0) {
-    return Status::InvalidArgument("realloc_period_s must be >= 0");
-  }
-  if (options.admission.max_queue_s < 0.0 ||
-      options.admission.deadline_s < 0.0) {
-    return Status::InvalidArgument(
-        "FleetServeOptions::admission: max_queue_s and deadline_s must "
-        "be >= 0");
-  }
-  std::vector<std::size_t> indices;
-  indices.reserve(plan.models.size());
-  for (const FleetModelPlan& model_plan : plan.models) {
-    const std::size_t i = IndexOf(model_plan.model);
-    if (i == kNpos) {
-      return Status::NotFound("model " + model_plan.model +
-                              " is not in this fleet");
+/// One ServeAll co-simulation (DESIGN.md Sec. 9). It owns the shards —
+/// each model's clock, engine, query stream, degraded fabric and live
+/// monitor — and the state they share only at barriers: the barrier grid,
+/// the budget shares, the planning monitors and the loan ledger. ServeAll
+/// builds it, then walks the grid phase by phase: Advance (shards
+/// concurrently), then joined on the driving thread SnapshotWindows,
+/// DrainChaos, Control (decide, apply) and Record; Finish assembles the
+/// result. Shards share no mutable state between barriers, so the outcome
+/// is bit-identical for every serve_threads value. The run is its own
+/// chaos target: faults land through it on quiesced shards.
+class Fleet::ServeRun final : private chaos::ChaosTarget {
+ public:
+  ServeRun(const Fleet& fleet, const FleetPlan& plan,
+           std::vector<std::size_t> indices, FleetServeOptions options)
+      : fleet_(fleet),
+        plan_(plan),
+        indices_(std::move(indices)),
+        options_(std::move(options)),
+        n_(indices_.size()),
+        tel_(options_.telemetry),
+        ledger_(n_),
+        sink_(tel_) {}
+
+  /// Build/deploy: resolves the planes, deploys every shard, lays out
+  /// the barrier grid.
+  Status Build();
+
+  /// The merged window/decision/chaos grid, time -> barrier kinds.
+  const std::map<Time, unsigned>& barriers() const { return barriers_; }
+
+  /// Advances every shard to `t`. A shard's own arrivals, completions,
+  /// policy rounds, load shifts and live-monitor taps never touch another
+  /// shard, so the shards run concurrently on a pool reused across
+  /// barriers.
+  void Advance(Time t);
+
+  /// Closes every model's window at `t`.
+  void SnapshotWindows(Time t);
+
+  /// Applies every armed fault due at `t`, then copies freshly landed
+  /// hard kills out of each engine's fault ledger — those fire on shard
+  /// clocks between barriers (a notice's delayed kill), so the ledger is
+  /// the only deterministic way to observe them.
+  void DrainChaos(Time t);
+
+  /// Decide, then apply: the controller reads a FleetTelemetry snapshot
+  /// and its actions are applied to the live engines. The horizon only
+  /// closes the final window — an action there could never serve a query
+  /// — so the controller is not consulted at it.
+  Status Control(Time t, bool window_closed);
+
+  /// Fleet-shard telemetry at quiescence: event-queue depth gauges, the
+  /// barrier counter and the sink's registry snapshot.
+  void Record(Time t, unsigned kinds);
+
+  /// Force-repays open loans, folds the ledger and assembles the result.
+  FleetServeResult Finish();
+
+ private:
+  /// One grant of a borrower's loan.
+  struct Loan {
+    std::size_t donor = 0;
+    double amount = 0.0;    ///< $/hr taken from the donor
+    std::size_t event = 0;  ///< the borrow it belongs to
+  };
+
+  /// The loan ledger of kBorrowBudget (DESIGN.md Sec. 11): per borrower,
+  /// the grants outstanding. Every grant is repaid — by an amount-0
+  /// action, by a reallocation re-deriving every share, or at the horizon
+  /// — always through Repay(). The totals fold the borrow events once, in
+  /// borrow order: summing the same grants through two independently
+  /// ordered accumulators could differ in the last ulp, and borrowed ==
+  /// repaid is asserted bit for bit.
+  class LoanLedger {
+   public:
+    explicit LoanLedger(std::size_t n) : loans_(n) {}
+
+    /// Grants `borrower` up to `amount` $/hr taken proportionally from
+    /// the other models' headroom (share above floor; a model owing loans
+    /// of its own does not donate). Returns the donors charged, in model
+    /// order, or nullopt when no headroom exists (loan declined).
+    std::optional<std::vector<std::size_t>> Borrow(
+        std::size_t borrower, double amount, std::vector<double>& shares,
+        const std::vector<double>& floors);
+
+    /// Returns every outstanding grant of `borrower` to its donors'
+    /// shares; the repaid grants in grant order (empty if none).
+    std::vector<Loan> Repay(std::size_t borrower, std::vector<double>& shares);
+
+    void RepayAll(std::vector<double>& shares) {
+      for (std::size_t j = 0; j < loans_.size(); ++j) Repay(j, shares);
     }
-    indices.push_back(i);
+
+    std::size_t borrows() const { return events_.size(); }
+    std::size_t paybacks() const { return paybacks_; }
+
+    /// {borrowed, repaid} $/hr, both folded in borrow order.
+    std::pair<double, double> Totals() const {
+      double borrowed = 0.0;
+      double repaid = 0.0;
+      for (const Event& event : events_) {
+        borrowed += event.granted;
+        if (event.repaid) repaid += event.granted;
+      }
+      return {borrowed, repaid};
+    }
+
+   private:
+    struct Event {
+      double granted = 0.0;  ///< $/hr moved to the borrower
+      bool repaid = false;
+    };
+    std::vector<std::vector<Loan>> loans_;  ///< per borrower
+    std::vector<Event> events_;             ///< borrow order
+    std::size_t paybacks_ = 0;
+  };
+
+  Status ResolvePlanes();
+  Status DeployShard(std::size_t j);
+  Status Wire();
+  void LayBarriers();
+  void SnapshotTelemetry(Time t, bool window_closed);
+  void OpenSpan(std::optional<telemetry::ScopedSpan>& span,
+                const char* name) const;
+
+  Status Apply(Time t, const std::vector<control::ControlAction>& actions);
+  Status ValidateTarget(const control::ControlAction& action) const;
+  Status ResetMonitors(Time t,
+                       const std::vector<control::ControlAction>& actions);
+  StatusOr<bool> Reallocate(Time t,
+                            const std::vector<control::ControlAction>& actions);
+  Status ChangeLoans(Time t,
+                     const std::vector<control::ControlAction>& actions);
+  Status Recover(Time t, const std::vector<control::ControlAction>& actions);
+  Status SetShed(Time t, const std::vector<control::ControlAction>& actions);
+  Status Replan(std::size_t j, double budget);
+  void Log(Time t, const control::ControlAction& action, std::string model) {
+    control_log_.push_back(
+        FleetControlEvent{t, action.kind, std::move(model), action.reason});
   }
-  for (const FleetLoadShift& shift : options.shifts) {
+
+  // chaos::ChaosTarget, over the shards.
+  std::size_t NumModels() const override { return n_; }
+  const std::string& ModelName(std::size_t m) const override {
+    return names_[m];
+  }
+  std::size_t LiveInstances(std::size_t m) const override {
+    return engines_[m]->AssignableInstances();
+  }
+  std::size_t Preempt(std::size_t m, std::size_t count,
+                      double notice_s) override {
+    return engines_[m]->PreemptInstances(count, notice_s);
+  }
+  std::size_t Kill(std::size_t m, std::size_t count) override {
+    return engines_[m]->KillInstances(count);
+  }
+  std::size_t NumDomains(std::size_t m) const override {
+    return engines_[m]->NumDomains();
+  }
+  std::size_t PreemptDomain(std::size_t m, std::size_t domain,
+                            double notice_s) override {
+    return engines_[m]->PreemptDomain(domain, notice_s);
+  }
+  std::size_t KillDomain(std::size_t m, std::size_t domain) override {
+    return engines_[m]->KillDomain(domain);
+  }
+  void DegradeNetwork(std::size_t m, const rpc::NetworkModel& net) override {
+    // The engine only borrows the fabric; the run owns it.
+    fabrics_[m] = std::make_unique<rpc::NetworkModel>(net);
+    engines_[m]->SetNetwork(fabrics_[m].get());
+  }
+  void RestoreNetwork(std::size_t m) override {
+    engines_[m]->SetNetwork(nullptr);
+  }
+
+  const Fleet& fleet_;
+  const FleetPlan& plan_;
+  const std::vector<std::size_t> indices_;  ///< fleet index per plan model
+  const FleetServeOptions options_;
+  const std::size_t n_;
+  /// The telemetry plane (DESIGN.md Sec. 13); nullptr disables it — no
+  /// instruments, spans or snapshots, bit-identical to a build without it.
+  telemetry::Telemetry* const tel_;
+  std::vector<std::string> names_;  ///< serving names, plan order
+  std::vector<double> floors_;      ///< per-model floors, plan order
+  std::unique_ptr<PlannerBackend> backend_;
+  std::unique_ptr<BudgetAllocator> allocator_;
+  std::unique_ptr<control::FleetController> controller_;
+  std::shared_ptr<chaos::ChaosInjector> injector_;
+
+  // The shards. Clocks come first and engines last, so the engines are
+  // destroyed before what they point into, and in-flight events (which
+  // hold engine pointers) are freed after the engines themselves.
+  std::vector<std::unique_ptr<sim::Simulator>> clocks_;
+  std::vector<std::unique_ptr<workload::QuerySource>> streams_;
+  std::vector<std::unique_ptr<rpc::NetworkModel>> fabrics_;
+  std::vector<workload::QueryMonitor> live_monitors_;
+  std::vector<telemetry::EngineInstruments> instruments_;
+  std::vector<std::unique_ptr<serving::Engine>> engines_;
+  std::vector<std::vector<serving::WindowedMetrics>> windows_;
+  std::unique_ptr<ThreadPool> pool_;
+  std::map<Time, unsigned> barriers_;
+
+  // Barrier-shared control state. Model j's planning monitor starts as
+  // its session monitor (what the initial plan was built against) and
+  // moves to the live sliding window after a kResetMonitor.
+  std::vector<double> shares_;
+  std::vector<const workload::QueryMonitor*> plan_monitors_;
+  LoanLedger ledger_;
+  control::FleetTelemetry snapshot_;
+  Time last_realloc_time_ = 0.0;
+  std::vector<std::size_t> offered_at_realloc_;
+  /// Engine fault-ledger entries already copied into chaos_log_.
+  std::vector<std::size_t> faults_drained_;
+  std::size_t reallocations_ = 0;
+  std::size_t monitor_resets_ = 0;
+  std::size_t respreads_ = 0;
+  std::size_t failovers_ = 0;
+  std::size_t shed_actions_ = 0;
+  std::vector<FleetControlEvent> control_log_;
+  std::vector<FleetChaosEvent> chaos_log_;
+  telemetry::TelemetrySink sink_;
+};
+
+std::optional<std::vector<std::size_t>> Fleet::ServeRun::LoanLedger::Borrow(
+    std::size_t borrower, double amount, std::vector<double>& shares,
+    const std::vector<double>& floors) {
+  const std::size_t n = shares.size();
+  std::vector<double> headroom(n, 0.0);
+  double headroom_total = 0.0;
+  for (std::size_t m = 0; m < n; ++m) {
+    if (m == borrower || !loans_[m].empty()) continue;
+    headroom[m] = std::max(shares[m] - floors[m], 0.0);
+    headroom_total += headroom[m];
+  }
+  const double grant = std::min(amount, headroom_total);
+  if (grant <= 1e-9) return std::nullopt;
+  // `granted` re-accumulates the individual takes so the repayment (which
+  // sums the same grants) matches it bit for bit.
+  std::vector<std::size_t> donors;
+  double granted = 0.0;
+  for (std::size_t m = 0; m < n; ++m) {
+    if (headroom[m] <= 0.0) continue;
+    const double take = grant * headroom[m] / headroom_total;
+    if (take <= 0.0) continue;
+    shares[m] -= take;
+    loans_[borrower].push_back({m, take, events_.size()});
+    granted += take;
+    donors.push_back(m);
+  }
+  shares[borrower] += granted;
+  events_.push_back({granted, false});
+  return donors;
+}
+
+std::vector<Fleet::ServeRun::Loan> Fleet::ServeRun::LoanLedger::Repay(
+    std::size_t borrower, std::vector<double>& shares) {
+  std::vector<Loan> repaid_loans = std::exchange(loans_[borrower], {});
+  if (repaid_loans.empty()) return repaid_loans;
+  double repaid = 0.0;
+  for (const Loan& loan : repaid_loans) {
+    shares[loan.donor] += loan.amount;
+    repaid += loan.amount;
+    events_[loan.event].repaid = true;
+  }
+  shares[borrower] -= repaid;
+  ++paybacks_;
+  return repaid_loans;
+}
+
+Status Fleet::ServeRun::Build() {
+  for (const std::size_t i : indices_) {
+    names_.push_back(fleet_.names_[i]);
+    floors_.push_back(fleet_.floors_[i]);
+  }
+  for (const FleetLoadShift& shift : options_.shifts) {
     // Must name a model of the *served plan* — a fleet member outside
     // the plan would be a silently dropped no-op, not a load change.
-    const auto in_plan = std::find_if(
-        indices.begin(), indices.end(),
-        [&](std::size_t i) { return names_[i] == shift.model; });
-    if (in_plan == indices.end()) {
+    if (std::find(names_.begin(), names_.end(), shift.model) == names_.end()) {
       return Status::NotFound("load shift at " + std::to_string(shift.time_s) +
                               "s names model " + shift.model +
                               ", which is not in the served plan");
@@ -454,1086 +782,689 @@ StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
       return Status::InvalidArgument("load shift for " + shift.model +
                                      ": arrival_scale must be positive");
     }
-    if (shift.time_s < 0.0 || shift.time_s > options.duration_s) {
+    if (shift.time_s < 0.0 || shift.time_s > options_.duration_s) {
       return Status::InvalidArgument(
           "load shift for " + shift.model + " at " +
           std::to_string(shift.time_s) + "s is outside the horizon");
     }
   }
-
-  // Resolve the control plane. "" keeps the legacy wiring: a PERIODIC
-  // controller at realloc_period_s when positive, no control loop
-  // otherwise (frozen allocation). A named controller that declares a
-  // "period_s" knob inherits realloc_period_s unless overridden.
-  std::unique_ptr<control::FleetController> controller;
-  if (options.controller.empty() && !options.controller_knobs.empty()) {
-    // Knobs without a controller would be dropped silently — the legacy
-    // PERIODIC wiring takes no knobs; misconfiguration fails loudly like
-    // every other knob path.
-    return Status::InvalidArgument(
-        "controller_knobs were given but no controller is named; set "
-        "FleetServeOptions::controller (registered controllers: " +
-        JoinComma(control::ControllerRegistry::Global().ListNames()) + ")");
+  const Status resolved = ResolvePlanes();
+  if (!resolved.ok()) return resolved;
+  windows_.resize(n_);
+  clocks_.reserve(n_);
+  engines_.reserve(n_);
+  streams_.reserve(n_);
+  // Reserve the whole window schedule up front so barrier snapshots never
+  // reallocate mid-run (part of the zero-steady-state-alloc contract the
+  // sustained perf gate asserts).
+  for (auto& windows : windows_) {
+    windows.reserve(
+        static_cast<std::size_t>(options_.duration_s / options_.window_s) + 2);
   }
-  if (!options.controller.empty()) {
-    control::KnobMap knobs = options.controller_knobs;
-    auto info = control::ControllerRegistry::Global().Info(options.controller);
-    if (!info.ok()) return info.status();
-    if (options.realloc_period_s > 0.0) {
-      // The period must land somewhere: a controller without a period_s
-      // knob (QOS, BACKLOG, DRIFT) cannot honor it, and dropping it
-      // silently would strip the periodic safety net the caller asked
-      // for. COMPOSITE chains such a controller with a PERIODIC net.
-      if (info->knobs.count("period_s") == 0) {
-        return Status::InvalidArgument(
-            "controller " + info->name +
-            " has no period_s knob, so realloc_period_s would be ignored; "
-            "drop it, or chain the controller with a PERIODIC safety net "
-            "via COMPOSITE");
-      }
-      if (knobs.count("period_s") == 0) {
-        knobs["period_s"] = options.realloc_period_s;
-      }
+  for (std::size_t j = 0; j < n_; ++j) {
+    const Status deployed = DeployShard(j);
+    if (!deployed.ok()) return deployed;
+  }
+  return Wire();
+}
+
+Status Fleet::ServeRun::ResolvePlanes() {
+  if (options_.controller.empty()) {
+    // Knobs without a controller would be dropped silently; misconfiguration
+    // fails loudly like every other knob path.
+    if (!options_.controller_knobs.empty()) {
+      return Status::InvalidArgument(
+          "controller_knobs were given but no controller is named; set "
+          "FleetServeOptions::controller (registered controllers: " +
+          JoinComma(control::ControllerRegistry::Global().ListNames()) + ")");
     }
-    auto built =
-        control::ControllerRegistry::Global().Build(options.controller, knobs);
+  } else {
+    auto built = control::ControllerRegistry::Global().Build(
+        options_.controller, options_.controller_knobs);
     if (!built.ok()) return built.status();
-    controller = *std::move(built);
-  } else if (options.realloc_period_s > 0.0) {
-    controller = control::MakePeriodicController(options.realloc_period_s);
+    controller_ = *std::move(built);
   }
 
-  // Resolve the chaos plane. No injector means no chaos code runs at all:
-  // no extra barriers, no fault reads, no network fabric — the run is
-  // bit-identical to a chaos-free build (tests/chaos_test.cc).
-  if (!options.chaos.empty() && options.injector != nullptr) {
+  // No injector means no chaos code runs at all: no extra barriers, no
+  // fault reads, no network fabric — the run is bit-identical to a
+  // chaos-free build (tests/chaos_test.cc).
+  if (!options_.chaos.empty() && options_.injector != nullptr) {
     return Status::InvalidArgument(
         "both FleetServeOptions::chaos and ::injector are set; name a "
         "registered injector or pass a programmatic one, not both");
   }
-  if (options.chaos.empty() && !options.chaos_knobs.empty()) {
+  if (options_.chaos.empty() && !options_.chaos_knobs.empty()) {
     return Status::InvalidArgument(
         "chaos_knobs were given but no chaos injector is named; set "
         "FleetServeOptions::chaos (registered injectors: " +
         JoinComma(chaos::ChaosRegistry::Global().ListNames()) + ")");
   }
-  std::shared_ptr<chaos::ChaosInjector> injector = options.injector;
-  if (!options.chaos.empty()) {
-    auto built = chaos::ChaosRegistry::Global().Build(options.chaos,
-                                                      options.chaos_knobs);
+  injector_ = options_.injector;
+  if (!options_.chaos.empty()) {
+    auto built = chaos::ChaosRegistry::Global().Build(options_.chaos,
+                                                      options_.chaos_knobs);
     if (!built.ok()) return built.status();
-    injector = *std::move(built);
+    injector_ = *std::move(built);
   }
 
-  auto backend = PlannerRegistry::Global().Build(options_.planner);
+  auto backend = PlannerRegistry::Global().Build(fleet_.options_.planner);
   if (!backend.ok()) return backend.status();
-  auto allocator = AllocatorRegistry::Global().Build(options_.allocator);
+  backend_ = *std::move(backend);
+  auto allocator = AllocatorRegistry::Global().Build(fleet_.options_.allocator);
   if (!allocator.ok()) return allocator.status();
-  if (controller != nullptr) {
-    for (const std::size_t i : indices) {
-      if (sessions_[i].monitor().Count() == 0) {
+  allocator_ = *std::move(allocator);
+  if (controller_ != nullptr) {
+    for (std::size_t j = 0; j < n_; ++j) {
+      if (fleet_.sessions_[indices_[j]].monitor().Count() == 0) {
         return Status::FailedPrecondition(
-            "model " + names_[i] +
+            "model " + names_[j] +
             ": monitor is empty; call ObserveMix before ServeAll with a "
             "reallocation controller");
       }
     }
   }
 
-  const std::size_t n = plan.models.size();
-  // The telemetry plane (DESIGN.md Sec. 13). `tel` == nullptr disables
-  // everything telemetry-related — no instrument attach, no spans, no
-  // snapshots — so a disabled run is bit-identical to a build without
-  // the subsystem (tests/telemetry_test.cc).
-  telemetry::Telemetry* const tel = options.telemetry;
-  if (tel != nullptr) {
-    if (tel->num_model_shards() != n) {
+  if (tel_ != nullptr) {
+    if (tel_->num_model_shards() != n_) {
       return Status::InvalidArgument(
           "FleetServeOptions::telemetry was created for " +
-          std::to_string(tel->num_model_shards()) +
-          " model shards, but the served plan has " + std::to_string(n));
+          std::to_string(tel_->num_model_shards()) +
+          " model shards, but the served plan has " + std::to_string(n_));
     }
-    for (std::size_t j = 0; j < n; ++j) {
-      if (tel->tracer().shard_names()[j] != names_[indices[j]]) {
+    for (std::size_t j = 0; j < n_; ++j) {
+      if (tel_->tracer().shard_names()[j] != names_[j]) {
         return Status::InvalidArgument(
             "FleetServeOptions::telemetry shard " + std::to_string(j) +
-            " is named \"" + tel->tracer().shard_names()[j] +
+            " is named \"" + tel_->tracer().shard_names()[j] +
             "\" but the served plan's model " + std::to_string(j) +
-            " is \"" + names_[indices[j]] +
+            " is \"" + names_[j] +
             "\"; create the Telemetry with the plan's model names in "
             "plan order");
       }
     }
   }
-  // Each model is one shard: its own engine on its own clock. Shards meet
-  // only at barriers — the merged grid of window boundaries and
-  // reallocation points — where the driving thread snapshots windows and
-  // re-splits the budget; between barriers they share no mutable state, so
-  // they advance concurrently and the outcome is bit-identical for every
-  // serve_threads value (and to the serial walk). Clocks are declared
-  // before the engines so in-flight events (which hold engine pointers)
-  // are freed after the engines themselves.
-  std::vector<std::unique_ptr<sim::Simulator>> clocks;
-  std::vector<std::unique_ptr<serving::Engine>> engines;
-  std::vector<std::unique_ptr<workload::QuerySource>> streams;
-  std::vector<std::vector<serving::WindowedMetrics>> windows(n);
-  clocks.reserve(n);
-  engines.reserve(n);
-  streams.reserve(n);
-  if (options.window_s > 0.0) {
-    // Reserve the whole window schedule up front so barrier snapshots
-    // never reallocate mid-run (part of the zero-steady-state-alloc
-    // contract the sustained perf gate asserts).
-    const auto expected = static_cast<std::size_t>(
-        options.duration_s / options.window_s) + 2;
-    for (std::size_t j = 0; j < n; ++j) windows[j].reserve(expected);
+  return Status::Ok();
+}
+
+Status Fleet::ServeRun::DeployShard(std::size_t j) {
+  const std::size_t i = indices_[j];
+  const FleetModelOptions& model = fleet_.model_options_[i];
+  cloud::Config config = plan_.models[j].outcome.config;
+  if (fleet_.NMinusOne(i)) {
+    // An N-1 sized model deploys its padded core, not the plan's nominal
+    // configuration; every in-serve replan keeps the same sizing.
+    auto sized = fleet_.PlanInShare(
+        *backend_, i, plan_.models[j].budget_per_hour,
+        fleet_.sessions_[i].monitor(), options_.search,
+        /*n_minus_one=*/true, nullptr);
+    if (!sized.ok()) return sized.status();
+    config = std::move(sized->config);
   }
+  auto runtime = fleet_.Deploy(names_[j], config);
+  if (!runtime.ok()) return runtime.status();
+  serving::EngineOptions engine_options;
+  // Overload is an expected transient here (that is what reallocation
+  // reacts to), so the batch early-abort heuristic is off.
+  engine_options.run.abort_violation_fraction = 0.0;
+  engine_options.run.keep_latencies = options_.keep_latencies;
+  engine_options.admission = options_.admission;
+  engine_options.launch_lag_s = options_.launch_lag_s;
+  engine_options.failure_domains =
+      std::max<std::size_t>(model.failure_domains, 1);
+  engine_options.seed = fleet_.options_.seed + 1000003 * (j + 1);
+  clocks_.push_back(std::make_unique<sim::Simulator>());
+  auto engine = runtime->MakeEngine(engine_options, clocks_.back().get());
+  if (!engine.ok()) return engine.status();
 
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t i = indices[j];
-    cloud::Config config = plan.models[j].outcome.config;
-    const std::size_t domains =
-        std::max<std::size_t>(model_options_[i].failure_domains, 1);
-    if (model_options_[i].plan_n_minus_one && domains >= 2) {
-      // Chaos-aware N-1 sizing (DESIGN.md Sec. 11): re-plan the core
-      // inside (d-1)/d of the share, then pad each type so losing the
-      // largest failure domain leaves the core intact. replan_model
-      // below applies the same rule, so in-serve replans keep the
-      // deployment N-1 sized.
-      const double share = plan.models[j].budget_per_hour;
-      // The core never plans below the model's floor (the cheapest
-      // feasible deployment) — a small share shrunk by (d-1)/d must not
-      // turn an otherwise feasible model infeasible.
-      const double core_budget =
-          std::max(share * static_cast<double>(domains - 1) /
-                       static_cast<double>(domains),
-                   std::min(share, floors_[i]));
-      PlannerContext ctx{&catalog_, &sessions_[i].truth(),
-                         sessions_[i].qos_ms(), core_budget};
-      PlanRequest request;
-      request.monitor = &sessions_[i].monitor();
-      request.search = options.search;
-      if ((*backend)->NeedsEvaluations()) {
-        const Status wired =
-            WireEvaluator(sessions_[i], sessions_[i].monitor(), request);
-        if (!wired.ok()) {
-          return Status(wired.code(),
-                        "model " + names_[i] + ": " + wired.message());
-        }
-      }
-      auto core = (*backend)->Plan(ctx, request);
-      if (!core.ok()) {
-        return Status(core.status().code(),
-                      "model " + names_[i] + ": " + core.status().message());
-      }
-      config = PadForDomainLoss(core->config, domains, share, catalog_);
-    }
-    auto runtime = Deploy(names_[i], config);
-    if (!runtime.ok()) return runtime.status();
-    serving::EngineOptions engine_options;
-    // Overload is an expected transient here (that is what reallocation
-    // reacts to), so the batch early-abort heuristic is off.
-    engine_options.run.abort_violation_fraction = 0.0;
-    engine_options.run.keep_latencies = options.keep_latencies;
-    engine_options.admission = options.admission;
-    engine_options.launch_lag_s = options.launch_lag_s;
-    engine_options.failure_domains = domains;
-    engine_options.seed = options_.seed + 1000003 * (j + 1);
-    clocks.push_back(std::make_unique<sim::Simulator>());
-    auto engine = runtime->MakeEngine(engine_options, clocks.back().get());
-    if (!engine.ok()) return engine.status();
-
-    workload::QuerySourceSpec source_spec;
-    const std::string trace_name =
-        policy::CanonicalSchemeName(model_options_[i].trace);
-    if (trace_name == "STREAM") {
-      source_spec.source = "STREAM";
-      source_spec.path = model_options_[i].trace_path;
-      source_spec.chunk_bytes = model_options_[i].trace_chunk_bytes;
-    } else if (trace_name == "TRACE") {
-      // The materialized oracle of the STREAM path: same file, read
-      // eagerly through the same parser, replayed from memory.
-      auto trace = workload::ReadTraceCsv(model_options_[i].trace_path);
-      if (!trace.ok()) {
-        return Status(trace.status().code(),
-                      "model " + names_[i] + ": " + trace.status().message());
-      }
-      source_spec.source = "TRACE";
-      source_spec.trace = *std::move(trace);
-    } else {
-      source_spec.source = trace_name.empty() ? "PRODUCTION" : trace_name;
-    }
-    source_spec.rate_qps =
-        options.base_rate_qps * model_options_[i].arrival_scale;
-    auto stream = workload::QuerySourceRegistry::Global().Build(source_spec);
-    if (!stream.ok()) {
-      return Status(stream.status().code(),
-                    "model " + names_[i] + ": " + stream.status().message());
-    }
-    const Status attached = (*engine)->SubmitSource(**stream);
-    if (!attached.ok()) return attached;
-    engines.push_back(*std::move(engine));
-    streams.push_back(*std::move(stream));
+  workload::QuerySourceSpec source_spec;
+  const std::string trace_name = policy::CanonicalSchemeName(model.trace);
+  if (trace_name == "STREAM") {
+    source_spec.source = "STREAM";
+    source_spec.path = model.trace_path;
+    source_spec.chunk_bytes = model.trace_chunk_bytes;
+  } else if (trace_name == "TRACE") {
+    // The materialized oracle of the STREAM path: same file, read
+    // eagerly through the same parser, replayed from memory.
+    auto trace = workload::ReadTraceCsv(model.trace_path);
+    if (!trace.ok()) return ForModel(names_[j], trace.status());
+    source_spec.source = "TRACE";
+    source_spec.trace = *std::move(trace);
+  } else {
+    source_spec.source = trace_name.empty() ? "PRODUCTION" : trace_name;
   }
+  source_spec.rate_qps = options_.base_rate_qps * model.arrival_scale;
+  auto stream = workload::QuerySourceRegistry::Global().Build(source_spec);
+  if (!stream.ok()) return ForModel(names_[j], stream.status());
+  const Status attached = (*engine)->SubmitSource(**stream);
+  if (!attached.ok()) return attached;
+  engines_.push_back(*std::move(engine));
+  streams_.push_back(*std::move(stream));
+  return Status::Ok();
+}
 
+Status Fleet::ServeRun::Wire() {
   // Attach instruments after every engine exists: the vector is sized
   // once, so the pointers the engines hold stay valid for the whole run.
-  std::vector<telemetry::EngineInstruments> instruments;
-  if (tel != nullptr) {
-    instruments.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      instruments.push_back(tel->InstrumentsFor(j));
-      engines[j]->SetTelemetry(&instruments[j]);
+  if (tel_ != nullptr) {
+    instruments_.reserve(n_);
+    for (std::size_t j = 0; j < n_; ++j) {
+      instruments_.push_back(tel_->InstrumentsFor(j));
+      engines_[j]->SetTelemetry(&instruments_[j]);
     }
   }
-
   // Load shifts are per-shard events: scheduled on the owning shard's own
   // clock, they fire inside that shard's barrier-to-barrier advance.
-  for (const FleetLoadShift& shift : options.shifts) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (names_[indices[j]] != shift.model) continue;
-      serving::Engine* engine = engines[j].get();
+  for (const FleetLoadShift& shift : options_.shifts) {
+    for (std::size_t j = 0; j < n_; ++j) {
+      if (names_[j] != shift.model) continue;
+      serving::Engine* engine = engines_[j].get();
       const double scale = shift.arrival_scale;
-      clocks[j]->At(shift.time_s, [engine, scale] {
+      clocks_[j]->At(shift.time_s, [engine, scale] {
         (void)engine->SetArrivalScale(scale);
       });
     }
   }
-
-  // The chaos plane. Serving names in plan order label chaos events; the
-  // fabric vector owns each model's installed degraded NetworkModel (the
-  // engine only borrows a pointer). Faults are applied through this
-  // adapter at barriers, on the driving thread, with every shard
-  // quiesced, so chaos runs stay bit-identical for every serve_threads.
-  std::vector<std::string> serve_names(n);
-  for (std::size_t j = 0; j < n; ++j) serve_names[j] = names_[indices[j]];
-  std::vector<std::unique_ptr<rpc::NetworkModel>> fabrics(n);
-  class ShardChaosTarget final : public chaos::ChaosTarget {
-   public:
-    ShardChaosTarget(const std::vector<std::unique_ptr<serving::Engine>>& e,
-                     const std::vector<std::string>& names,
-                     std::vector<std::unique_ptr<rpc::NetworkModel>>& f)
-        : engines_(e), names_(names), fabrics_(f) {}
-    std::size_t NumModels() const override { return engines_.size(); }
-    const std::string& ModelName(std::size_t m) const override {
-      return names_[m];
-    }
-    std::size_t LiveInstances(std::size_t m) const override {
-      return engines_[m]->AssignableInstances();
-    }
-    std::size_t Preempt(std::size_t m, std::size_t count,
-                        double notice_s) override {
-      return engines_[m]->PreemptInstances(count, notice_s);
-    }
-    std::size_t Kill(std::size_t m, std::size_t count) override {
-      return engines_[m]->KillInstances(count);
-    }
-    std::size_t NumDomains(std::size_t m) const override {
-      return engines_[m]->NumDomains();
-    }
-    std::size_t PreemptDomain(std::size_t m, std::size_t domain,
-                              double notice_s) override {
-      return engines_[m]->PreemptDomain(domain, notice_s);
-    }
-    std::size_t KillDomain(std::size_t m, std::size_t domain) override {
-      return engines_[m]->KillDomain(domain);
-    }
-    void DegradeNetwork(std::size_t m,
-                        const rpc::NetworkModel& net) override {
-      fabrics_[m] = std::make_unique<rpc::NetworkModel>(net);
-      engines_[m]->SetNetwork(fabrics_[m].get());
-    }
-    void RestoreNetwork(std::size_t m) override {
-      engines_[m]->SetNetwork(nullptr);
-    }
-
-   private:
-    const std::vector<std::unique_ptr<serving::Engine>>& engines_;
-    const std::vector<std::string>& names_;
-    std::vector<std::unique_ptr<rpc::NetworkModel>>& fabrics_;
-  };
-  ShardChaosTarget chaos_target(engines, serve_names, fabrics);
-  if (injector != nullptr) {
-    const chaos::ChaosSchedule schedule{options.duration_s, options.window_s,
-                                        options_.seed, n};
-    const Status armed = injector->Arm(schedule);
+  fabrics_.resize(n_);
+  if (injector_ != nullptr) {
+    const chaos::ChaosSchedule schedule{options_.duration_s, options_.window_s,
+                                        fleet_.options_.seed, n_};
+    const Status armed = injector_->Arm(schedule);
     if (!armed.ok()) return armed;
   }
-
   // Live batch-mix monitors, one per shard, fed in-shard (one Observe per
-  // arrival, between barriers, by the shard's own worker) so they stay
-  // deterministic under any serve_threads. Their planning reference is
-  // the session monitor's mean — what the initial plan was built against;
-  // a kResetMonitor swaps the shard's planning mix to this live window.
+  // arrival, by the shard's own worker) so they stay deterministic under
+  // any serve_threads. Their planning reference is the session monitor's
+  // mean; a kResetMonitor swaps the shard's planning mix to this window.
   // Only mix-reading controllers (DRIFT, a COMPOSITE containing it) pay
-  // the per-arrival tap; everyone else keeps the arrival path untouched.
-  std::vector<workload::QueryMonitor> live_monitors;
-  if (controller != nullptr && controller->NeedsLiveMix()) {
-    live_monitors.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t i = indices[j];
-      live_monitors.emplace_back(model_options_[i].monitor_warmup);
-      live_monitors.back().MarkPlanningReference(
-          sessions_[i].monitor().MeanBatch());
-      engines[j]->SetMonitorTap(&live_monitors.back());
+  // the per-arrival tap.
+  if (controller_ != nullptr && controller_->NeedsLiveMix()) {
+    live_monitors_.reserve(n_);
+    for (std::size_t j = 0; j < n_; ++j) {
+      const std::size_t i = indices_[j];
+      live_monitors_.emplace_back(fleet_.model_options_[i].monitor_warmup);
+      live_monitors_.back().MarkPlanningReference(
+          fleet_.sessions_[i].monitor().MeanBatch());
+      engines_[j]->SetMonitorTap(&live_monitors_.back());
     }
   }
+  LayBarriers();
 
-  // The barrier grid: window boundaries shared by every model (the horizon
-  // always closes the last, possibly partial, window) merged with the
-  // controller's own decision times. Boundaries are computed as k * width
-  // — not accumulated — so a non-representable width cannot drift into a
-  // duplicate boundary just below the horizon; a coinciding window and
-  // decision boundary runs the window snapshot first, so controllers see
-  // the freshly closed window.
-  enum : unsigned { kWindowBarrier = 1u, kDecisionBarrier = 2u,
-                    kChaosBarrier = 4u };
-  std::map<Time, unsigned> barriers;
+  shares_.resize(n_);
+  plan_monitors_.resize(n_);
+  offered_at_realloc_.assign(n_, 0);
+  faults_drained_.assign(n_, 0);
+  // Run-invariant snapshot fields are filled once; SnapshotTelemetry only
+  // refreshes what moves. The window vectors never move, so the pointers
+  // stay valid for every Decide() call.
+  snapshot_.duration_s = options_.duration_s;
+  snapshot_.window_s = options_.window_s;
+  snapshot_.budget_per_hour = fleet_.options_.budget_per_hour;
+  snapshot_.models.resize(n_);
+  for (std::size_t j = 0; j < n_; ++j) {
+    const std::size_t i = indices_[j];
+    shares_[j] = plan_.models[j].budget_per_hour;
+    plan_monitors_[j] = &fleet_.sessions_[i].monitor();
+    snapshot_.models[j].model = names_[j];
+    snapshot_.models[j].arrival_scale = fleet_.model_options_[i].arrival_scale;
+    snapshot_.models[j].qos_ms = fleet_.sessions_[i].qos_ms();
+    snapshot_.models[j].windows = &windows_[j];
+  }
+  const std::size_t workers = ParallelismFor(options_.serve_threads, n_);
+  if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
+  return Status::Ok();
+}
+
+void Fleet::ServeRun::LayBarriers() {
+  // Window boundaries shared by every model (the horizon always closes
+  // the last, possibly partial, window) merged with the controller's
+  // decision times and the injector's fault times, so faults land at
+  // their scheduled time rather than at the next window boundary (faults
+  // at t <= 0 land in the pre-walk drain). Boundaries are k * width — not
+  // accumulated — so a non-representable width cannot drift into a
+  // duplicate boundary just below the horizon.
+  const auto inside = [this](Time t) {
+    return t > 0.0 && t < options_.duration_s - kHorizonEps;
+  };
   for (std::size_t k = 1;; ++k) {
-    const double t = static_cast<double>(k) * options.window_s;
-    if (t >= options.duration_s - 1e-9) break;
-    barriers[t] |= kWindowBarrier;
+    const double t = static_cast<double>(k) * options_.window_s;
+    if (t >= options_.duration_s - kHorizonEps) break;
+    barriers_[t] |= kWindowBarrier;
   }
-  barriers[options.duration_s] |= kWindowBarrier;
-  if (controller != nullptr) {
-    const control::ControlSchedule schedule{options.duration_s,
-                                            options.window_s};
-    for (const Time t : controller->DecisionTimes(schedule)) {
-      if (t <= 0.0 || t >= options.duration_s - 1e-9) continue;
-      barriers[t] |= kDecisionBarrier;
+  barriers_[options_.duration_s] |= kWindowBarrier;
+  if (controller_ != nullptr) {
+    const control::ControlSchedule schedule{options_.duration_s,
+                                            options_.window_s};
+    for (const Time t : controller_->DecisionTimes(schedule)) {
+      if (inside(t)) barriers_[t] |= kDecisionBarrier;
     }
   }
-  if (injector != nullptr) {
-    // Armed fault times become barriers of their own, so faults land at
-    // their scheduled time, not rounded to the next window boundary.
-    // Faults at t <= 0 are applied by the pre-loop drain below.
-    for (const Time t : injector->FaultTimes()) {
-      if (t <= 0.0 || t >= options.duration_s - 1e-9) continue;
-      barriers[t] |= kChaosBarrier;
+  if (injector_ != nullptr) {
+    for (const Time t : injector_->FaultTimes()) {
+      if (inside(t)) barriers_[t] |= kChaosBarrier;
     }
   }
+}
 
-  // Control-plane state. The planning mix of model j starts as its
-  // session monitor (what the initial plan was built against) and moves
-  // to the live sliding window after a kResetMonitor.
-  std::size_t reallocations = 0;
-  std::size_t monitor_resets = 0;
-  std::size_t respreads = 0;
-  std::size_t failovers = 0;
-  std::size_t shed_actions = 0;
-  // The loan ledger (kBorrowBudget, DESIGN.md Sec. 11): per borrower, the
-  // (donor, $/hr) grants currently outstanding. Every grant is repaid —
-  // by an amount-0 action, by a reallocation re-deriving every share, or
-  // by the horizon force-repay — so borrowed == repaid holds exactly.
-  // The reported totals fold `loan_events` once, in borrow order, at the
-  // end of the run: summing the same grants through two independently
-  // ordered accumulators could differ in the last ulp, and the
-  // conservation invariant is asserted bit-for-bit.
-  std::size_t borrows = 0;
-  std::size_t paybacks = 0;
-  struct LoanEvent {
-    double granted = 0.0;  ///< $/hr moved to the borrower at grant time
-    bool repaid = false;
+void Fleet::ServeRun::OpenSpan(std::optional<telemetry::ScopedSpan>& span,
+                               const char* name) const {
+  if (tel_ != nullptr) span.emplace(&tel_->tracer(), tel_->fleet_shard(), name);
+}
+
+void Fleet::ServeRun::Advance(Time t) {
+  if (pool_ != nullptr) {
+    ParallelFor(*pool_, n_, [this, t](std::size_t j) {
+      engines_[j]->AdvanceTo(t);
+    });
+  } else {
+    for (std::size_t j = 0; j < n_; ++j) engines_[j]->AdvanceTo(t);
+  }
+}
+
+void Fleet::ServeRun::SnapshotWindows(Time t) {
+  std::optional<telemetry::ScopedSpan> span;
+  OpenSpan(span, "window.snapshot");
+  if (span.has_value()) span->AddArg("t_s", std::to_string(t));
+  for (std::size_t j = 0; j < n_; ++j) {
+    windows_[j].push_back(engines_[j]->TakeWindow());
+    if (options_.window_probe) options_.window_probe(j, windows_[j].back());
+  }
+}
+
+void Fleet::ServeRun::DrainChaos(Time t) {
+  if (injector_ == nullptr) return;
+  // chaos_log_ is re-sorted by time once, in Finish().
+  const auto record = [this](std::size_t model, FleetChaosEvent event) {
+    if (tel_ != nullptr) {
+      tel_->metrics().Add(tel_->chaos_faults(), tel_->fleet_shard());
+      tel_->tracer().EmitInstant(model < n_ ? model : tel_->fleet_shard(),
+                                 "chaos.fault",
+                                 {{"kind", chaos::ChaosEventName(event.kind)},
+                                  {"detail", event.detail}});
+    }
+    chaos_log_.push_back(std::move(event));
   };
-  std::vector<LoanEvent> loan_events;
-  std::vector<std::vector<std::size_t>> loan_event_ids(n);  // per borrower
-  std::vector<std::vector<std::pair<std::size_t, double>>> loans(n);
-  std::vector<FleetControlEvent> control_log;
-  std::vector<FleetChaosEvent> chaos_log;
-  /// Engine fault-ledger entries already copied into chaos_log, per model.
-  std::vector<std::size_t> faults_drained(n, 0);
-  std::vector<double> shares(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    shares[j] = plan.models[j].budget_per_hour;
+  if (t < options_.duration_s - kHorizonEps) {
+    for (chaos::ChaosEvent& event : injector_->Apply(t, *this)) {
+      record(event.model,
+             FleetChaosEvent{event.time, event.kind, names_[event.model],
+                             std::move(event.detail)});
+    }
   }
-  std::vector<const workload::QueryMonitor*> plan_monitors(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    plan_monitors[j] = &sessions_[indices[j]].monitor();
+  for (std::size_t j = 0; j < n_; ++j) {
+    const std::vector<serving::Engine::InstanceFault>& faults =
+        engines_[j]->Faults();
+    for (; faults_drained_[j] < faults.size(); ++faults_drained_[j]) {
+      const serving::Engine::InstanceFault& fault = faults[faults_drained_[j]];
+      record(j, FleetChaosEvent{
+                    fault.time,
+                    fault.preemption ? chaos::ChaosEventKind::kPreemption
+                                     : chaos::ChaosEventKind::kInstanceDeath,
+                    names_[j],
+                    "hard kill; " + std::to_string(fault.requeued) +
+                        " in-flight quer" +
+                        (fault.requeued == 1 ? "y" : "ies") + " requeued"});
+    }
   }
-  Status control_status;  // first failure inside the loop, if any
-  Time last_realloc_time = 0.0;
-  std::vector<std::size_t> offered_at_realloc(n, 0);
+}
 
-  // Re-plans model j inside `budget` against its planning mix and
-  // reconfigures its live engine in place. Shared by the fleet-wide
-  // rebalance and the per-model kFailover recovery so the two replan
-  // paths cannot drift.
-  auto replan_model = [&](std::size_t j, double budget) -> Status {
-    const Kairos& session = sessions_[indices[j]];
-    // N-1 sized models re-plan their core inside (d-1)/d of the share
-    // and pad afterwards — the same rule the initial deployment used.
-    const std::size_t domains =
-        std::max<std::size_t>(model_options_[indices[j]].failure_domains, 1);
-    const bool n_minus_one =
-        model_options_[indices[j]].plan_n_minus_one && domains >= 2;
-    const double core_budget =
-        n_minus_one ? std::max(budget * static_cast<double>(domains - 1) /
-                                   static_cast<double>(domains),
-                               std::min(budget, floors_[indices[j]]))
-                    : budget;
-    PlannerContext ctx{&catalog_, &session.truth(), session.qos_ms(),
-                       core_budget};
-    PlanRequest request;
-    request.monitor = plan_monitors[j];
-    request.search = options.search;
-    if ((*backend)->NeedsEvaluations()) {
-      // Same wiring as PlanAll, against the model's planning mix (the
-      // nested measurement never touches the co-simulation clock).
-      const Status wired = WireEvaluator(session, *plan_monitors[j], request);
-      if (!wired.ok()) {
-        return Status(wired.code(),
-                      "model " + names_[indices[j]] + ": " + wired.message());
-      }
-    }
-    std::optional<telemetry::ScopedSpan> replan_span;
-    std::shared_ptr<std::atomic<std::uint64_t>> trials;
-    if (tel != nullptr) {
-      replan_span.emplace(&tel->tracer(), tel->fleet_shard(),
-                          "fleet.replan");
-      replan_span->AddArg("model", names_[indices[j]]);
-      replan_span->AddArg("budget_per_hour", std::to_string(budget));
-      if (request.eval != nullptr) {
-        // Per-trial evaluation spans. Trials may run on the search pool
-        // (eval_threads > 1): span emission rides the tracer's per-shard
-        // mutex, and the trial count accumulates in a shared atomic that
-        // lands on the fleet shard's counter once, back on this thread.
-        trials = std::make_shared<std::atomic<std::uint64_t>>(0);
-        search::EvalFn inner = std::move(request.eval);
-        telemetry::TraceRecorder* const tracer = &tel->tracer();
-        const std::size_t shard = tel->fleet_shard();
-        const std::string model_name = names_[indices[j]];
-        request.eval = [inner = std::move(inner), tracer, shard, trials,
-                        model_name](const cloud::Config& config) {
-          telemetry::ScopedSpan span(tracer, shard, "planner.eval");
-          span.AddArg("model", model_name);
-          span.AddArg("instances", std::to_string(config.TotalInstances()));
-          trials->fetch_add(1, std::memory_order_relaxed);
-          return inner(config);
-        };
-      }
-    }
-    auto outcome = (*backend)->Plan(ctx, request);
-    if (trials != nullptr) {
-      tel->metrics().Add(tel->planner_trials(), tel->fleet_shard(),
-                         static_cast<double>(
-                             trials->load(std::memory_order_relaxed)));
-    }
-    if (!outcome.ok()) {
-      return Status(outcome.status().code(),
-                    "model " + names_[indices[j]] + ": " +
-                        outcome.status().message());
-    }
-    const Status reconfigured = engines[j]->Reconfigure(
-        n_minus_one ? PadForDomainLoss(outcome->config, domains, budget,
-                                       catalog_)
-                    : outcome->config);
-    if (!reconfigured.ok()) return reconfigured;
-    // A model already moved to the live window was just replanned
-    // against it: the window's current mean is the new planning-time
-    // reference, or plan_mean_batch / drift would keep describing a
-    // configuration this re-plan just replaced.
-    if (!live_monitors.empty() && plan_monitors[j] == &live_monitors[j]) {
-      live_monitors[j].MarkPlanningReference();
-    }
+void Fleet::ServeRun::SnapshotTelemetry(Time t, bool window_closed) {
+  snapshot_.now = t;
+  snapshot_.window_closed = window_closed;
+  snapshot_.windows_closed = n_ > 0 ? windows_[0].size() : 0;
+  snapshot_.last_reallocation = last_realloc_time_;
+  for (std::size_t j = 0; j < n_; ++j) {
+    control::ModelTelemetry& model = snapshot_.models[j];
+    const serving::Engine& engine = *engines_[j];
+    model.share_per_hour = shares_[j];
+    model.offered = engine.Offered();
+    model.served = engine.Served();
+    model.backlog = engine.Backlog();
+    const double elapsed = std::max(t - last_realloc_time_, 1e-9);
+    model.observed_rate_qps =
+        static_cast<double>(model.offered - offered_at_realloc_[j]) / elapsed;
+    const bool live = !live_monitors_.empty();
+    // After a kResetMonitor the planning monitor *is* the live window;
+    // what the current configuration was planned against is then the
+    // frozen reference, not the window's moving mean (which would make
+    // plan_mean_batch track live_mean_batch and contradict `drift`).
+    model.plan_mean_batch = live && plan_monitors_[j] == &live_monitors_[j]
+                                ? live_monitors_[j].reference_mean_batch()
+                                : plan_monitors_[j]->MeanBatch();
+    model.live_mean_batch = live ? live_monitors_[j].MeanBatch() : 0.0;
+    model.live_queries = live ? live_monitors_[j].Count() : 0;
+    model.drift = live ? live_monitors_[j].BatchMixDrift() : 0.0;
+    model.live_instances = engine.AssignableInstances();
+    model.target_instances =
+        static_cast<std::size_t>(engine.target_config().TotalInstances());
+    model.pending_instances = engine.PendingInstances();
+    model.instances_lost = engine.InstancesLost();
+    model.preemption_notices = engine.PreemptionNotices();
+    model.rejected = engine.Rejected();
+    model.shed = engine.Shed();
+    model.shed_deadline_s = engine.admission().deadline_s;
+    // The spot discount this model's capacity is renting at right now
+    // (1.0 = on-demand): the injector's market quote at the barrier time.
+    const cloud::SpotMarket* market =
+        injector_ != nullptr ? injector_->Market(j) : nullptr;
+    model.spot_discount = market != nullptr ? market->DiscountAt(t) : 1.0;
+  }
+}
+
+Status Fleet::ServeRun::Control(Time t, bool window_closed) {
+  if (controller_ == nullptr || t >= options_.duration_s - kHorizonEps) {
     return Status::Ok();
-  };
-
-  // kReallocate: observed arrival rates over `interval_s` become the
-  // demand weights, the global budget is re-split, each model re-planned
-  // inside its new share against its planning mix, and the engines
-  // reconfigured in place.
-  auto rebalance = [&](double interval_s) {
-    std::optional<telemetry::ScopedSpan> realloc_span;
-    if (tel != nullptr) {
-      realloc_span.emplace(&tel->tracer(), tel->fleet_shard(),
-                           "fleet.realloc");
-      realloc_span->AddArg("interval_s", std::to_string(interval_s));
-    }
-    AllocationProblem problem;
-    problem.budget_per_hour = options_.budget_per_hour;
-    problem.step_per_hour = options_.allocation_step_per_hour;
-    problem.threads = options_.planning_threads;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t i = indices[j];
-      const std::size_t offered_now = engines[j]->Offered();
-      const double observed_rate =
-          static_cast<double>(offered_now - offered_at_realloc[j]) /
-          interval_s;
-      offered_at_realloc[j] = offered_now;
-      problem.models.push_back(
-          AllocModel{names_[i], model_options_[i].weight,
-                     std::max(observed_rate, 1e-6), floors_[i],
-                     ceilings_[i]});
-    }
-    problem.probe = [&](std::size_t j, double budget) -> StatusOr<double> {
-      const Kairos& session = sessions_[indices[j]];
-      PlannerContext ctx{&catalog_, &session.truth(), session.qos_ms(),
-                         budget};
-      PlanRequest request;
-      request.monitor = plan_monitors[j];
-      request.search = options.search;
-      auto outcome = (*backend)->Probe(ctx, request);
-      if (!outcome.ok()) return outcome.status();
-      return outcome->expected_qps;
-    };
-    auto split = (*allocator)->Allocate(problem);
-    if (!split.ok()) {
-      control_status = split.status();
-      return;
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      const Status replanned = replan_model(j, (*split)[j]);
-      if (!replanned.ok()) {
-        control_status = replanned;
-        return;
-      }
-    }
-    shares = *std::move(split);
-    ++reallocations;
-  };
-
-  // Runs the chaos plane's barrier step: applies every armed fault due at
-  // `t` (on this thread, shards quiesced), then copies freshly landed
-  // hard kills out of each engine's fault ledger — those fire on shard
-  // clocks between barriers (a notice's delayed kill), so the ledger is
-  // the only deterministic way to observe them. chaos_log is re-sorted by
-  // time once, after the loop.
-  auto drain_chaos = [&](Time t) {
-    if (injector == nullptr) return;
-    if (t < options.duration_s - 1e-9) {
-      for (chaos::ChaosEvent& event : injector->Apply(t, chaos_target)) {
-        if (tel != nullptr) {
-          tel->metrics().Add(tel->chaos_faults(), tel->fleet_shard());
-          tel->tracer().EmitInstant(
-              event.model < n ? event.model : tel->fleet_shard(),
-              "chaos.fault",
-              {{"kind", chaos::ChaosEventName(event.kind)},
-               {"detail", event.detail}});
-        }
-        chaos_log.push_back(FleetChaosEvent{event.time, event.kind,
-                                            serve_names[event.model],
-                                            std::move(event.detail)});
-      }
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::vector<serving::Engine::InstanceFault>& faults =
-          engines[j]->Faults();
-      for (; faults_drained[j] < faults.size(); ++faults_drained[j]) {
-        const serving::Engine::InstanceFault& fault =
-            faults[faults_drained[j]];
-        FleetChaosEvent event;
-        event.time = fault.time;
-        event.kind = fault.preemption ? chaos::ChaosEventKind::kPreemption
-                                      : chaos::ChaosEventKind::kInstanceDeath;
-        event.model = serve_names[j];
-        event.detail = "hard kill; " + std::to_string(fault.requeued) +
-                       " in-flight quer" +
-                       (fault.requeued == 1 ? "y" : "ies") + " requeued";
-        if (tel != nullptr) {
-          tel->metrics().Add(tel->chaos_faults(), tel->fleet_shard());
-          tel->tracer().EmitInstant(j, "chaos.fault",
-                                    {{"kind", chaos::ChaosEventName(event.kind)},
-                                     {"detail", event.detail}});
-        }
-        chaos_log.push_back(std::move(event));
-      }
-    }
-  };
-
-  // Applies one barrier's worth of controller decisions. Monitor resets
-  // run before the barrier's reallocation no matter how the controller
-  // ordered the list — a same-barrier re-plan must read the post-reset
-  // mix (under COMPOSITE a QOS-triggered reallocation can precede
-  // DRIFT's resets in the list). At most one reallocation per barrier is
-  // honored (a re-split already replans every model).
-  auto apply_actions = [&](Time t,
-                           const std::vector<control::ControlAction>& actions) {
-    for (const control::ControlAction& action : actions) {
-      if (action.kind != control::ControlActionKind::kResetMonitor) continue;
-      if (action.model >= n) {
-        control_status = Status::InvalidArgument(
-            "controller " + controller->Name() +
-            " reset the monitor of model index " +
-            std::to_string(action.model) + ", but the served plan has " +
-            std::to_string(n) + " models");
-        return;
-      }
-      if (live_monitors.empty()) {
-        // Per the FleetController contract a reset-emitting controller
-        // must declare NeedsLiveMix(); silently dropping the reset here
-        // would leave replans on the stale mix with no trace.
-        control_status = Status::FailedPrecondition(
-            "controller " + controller->Name() +
-            " emitted kResetMonitor but NeedsLiveMix() is false, so no "
-            "live mix exists to reset to");
-        return;
-      }
-      // An empty live window would leave nothing to plan against; the
-      // reset waits until the stream has produced samples.
-      if (live_monitors[action.model].Count() == 0) continue;
-      plan_monitors[action.model] = &live_monitors[action.model];
-      live_monitors[action.model].MarkPlanningReference();
-      ++monitor_resets;
-      control_log.push_back(FleetControlEvent{
-          t, action.kind, names_[indices[action.model]], action.reason});
-    }
-    bool reallocated_here = false;
-    for (const control::ControlAction& action : actions) {
-      if (action.kind != control::ControlActionKind::kReallocate) continue;
-      const double interval = action.interval_s > 0.0
-                                  ? action.interval_s
-                                  : std::max(t - last_realloc_time, 1e-9);
-      rebalance(interval);
-      if (!control_status.ok()) return;
-      last_realloc_time = t;
-      reallocated_here = true;
-      // A re-split re-derives every share from the global budget, which
-      // returns all borrowed headroom to the pool: the ledger clears and
-      // the cleared grants count as repaid, keeping borrowed == repaid
-      // exact.
-      for (std::size_t m = 0; m < n; ++m) {
-        if (loans[m].empty()) continue;
-        for (const std::size_t id : loan_event_ids[m]) {
-          loan_events[id].repaid = true;
-        }
-        loan_event_ids[m].clear();
-        loans[m].clear();
-        ++paybacks;
-      }
-      control_log.push_back(
-          FleetControlEvent{t, action.kind, "", action.reason});
-      break;  // one re-split already replanned every model
-    }
-    // Loan-ledger changes (kBorrowBudget), after any reallocation (whose
-    // re-split just cleared the ledger) and before the recoveries, so a
-    // same-barrier kFailover replans the borrower at its enlarged share.
-    // One ledger change per model per barrier (the first action wins).
-    std::vector<bool> loaned(n, false);
-    for (const control::ControlAction& action : actions) {
-      if (action.kind != control::ControlActionKind::kBorrowBudget) continue;
-      if (action.model >= n) {
-        control_status = Status::InvalidArgument(
-            "controller " + controller->Name() + " targeted model index " +
-            std::to_string(action.model) + " with " +
-            control::ControlActionName(action.kind) +
-            ", but the served plan has " + std::to_string(n) + " models");
-        return;
-      }
-      if (action.amount_per_hour < 0.0) {
-        control_status = Status::InvalidArgument(
-            "controller " + controller->Name() +
-            " emitted BORROW_BUDGET with a negative amount (" +
-            FormatDollarsPerHour(action.amount_per_hour) + ")");
-        return;
-      }
-      if (loaned[action.model]) continue;
-      loaned[action.model] = true;
-      if (reallocated_here) continue;  // shares were just re-derived
-      const std::size_t j = action.model;
-      // When a same-barrier kFailover will replan this model anyway, the
-      // ledger only moves the shares here and lets that replan pick the
-      // enlarged (or restored) share up — one replan, not two.
-      bool replanned_later = false;
-      for (const control::ControlAction& other : actions) {
-        if (other.kind == control::ControlActionKind::kFailover &&
-            other.model == j) {
-          replanned_later = true;
-          break;
-        }
-      }
-      if (action.amount_per_hour > 0.0) {
-        // Borrow: take proportionally from the other models' headroom
-        // (share above floor; a model with outstanding loans of its own
-        // does not donate).
-        std::vector<double> headroom(n, 0.0);
-        double headroom_total = 0.0;
-        for (std::size_t m = 0; m < n; ++m) {
-          if (m == j || !loans[m].empty()) continue;
-          headroom[m] = std::max(shares[m] - floors_[indices[m]], 0.0);
-          headroom_total += headroom[m];
-        }
-        const double grant = std::min(action.amount_per_hour, headroom_total);
-        if (grant <= 1e-9) continue;  // no headroom anywhere: loan declined
-        // `granted` re-accumulates the individual takes so the repayment
-        // (which sums the same ledger entries) matches it bit for bit.
-        double granted = 0.0;
-        for (std::size_t m = 0; m < n; ++m) {
-          if (headroom[m] <= 0.0) continue;
-          const double take = grant * headroom[m] / headroom_total;
-          if (take <= 0.0) continue;
-          shares[m] -= take;
-          loans[j].push_back({m, take});
-          granted += take;
-          // The donor's plan only fits its shrunk share after a replan;
-          // do it now so the share invariant never lapses.
-          const Status replanned = replan_model(m, shares[m]);
-          if (!replanned.ok()) {
-            control_status = replanned;
-            return;
-          }
-        }
-        shares[j] += granted;
-        loan_event_ids[j].push_back(loan_events.size());
-        loan_events.push_back({granted, false});
-        ++borrows;
-        if (!replanned_later) {
-          const Status replanned = replan_model(j, shares[j]);
-          if (!replanned.ok()) {
-            control_status = replanned;
-            return;
-          }
-        }
-      } else {
-        // Amount 0: repay every outstanding loan of this model.
-        if (loans[j].empty()) continue;
-        const std::vector<std::pair<std::size_t, double>> repaid_loans =
-            std::move(loans[j]);
-        loans[j].clear();
-        double repaid = 0.0;
-        for (const auto& loan : repaid_loans) {
-          shares[loan.first] += loan.second;
-          repaid += loan.second;
-        }
-        shares[j] -= repaid;
-        for (const std::size_t id : loan_event_ids[j]) {
-          loan_events[id].repaid = true;
-        }
-        loan_event_ids[j].clear();
-        ++paybacks;
-        // The borrower shrinks back inside its restored share first; the
-        // donors then replan up to reclaim theirs.
-        if (!replanned_later) {
-          const Status replanned = replan_model(j, shares[j]);
-          if (!replanned.ok()) {
-            control_status = replanned;
-            return;
-          }
-        }
-        for (const auto& loan : repaid_loans) {
-          const Status replanned = replan_model(loan.first, shares[loan.first]);
-          if (!replanned.ok()) {
-            control_status = replanned;
-            return;
-          }
-        }
-      }
-      control_log.push_back(FleetControlEvent{
-          t, action.kind, names_[indices[j]], action.reason});
-    }
-    // Chaos recoveries, after any reallocation: one per model per barrier
-    // (the first action on a model wins), and all of them skipped when a
-    // same-barrier re-split already replanned and reconfigured everything.
-    std::vector<bool> recovered(n, false);
-    for (const control::ControlAction& action : actions) {
-      if (action.kind != control::ControlActionKind::kRespread &&
-          action.kind != control::ControlActionKind::kFailover) {
-        continue;
-      }
-      if (action.model >= n) {
-        control_status = Status::InvalidArgument(
-            "controller " + controller->Name() + " targeted model index " +
-            std::to_string(action.model) + " with " +
-            control::ControlActionName(action.kind) +
-            ", but the served plan has " + std::to_string(n) + " models");
-        return;
-      }
-      if (recovered[action.model]) continue;
-      recovered[action.model] = true;
-      if (reallocated_here) continue;
-      const std::size_t j = action.model;
-      if (action.kind == control::ControlActionKind::kFailover) {
-        const Status replanned = replan_model(j, shares[j]);
-        if (!replanned.ok()) {
-          control_status = replanned;
-          return;
-        }
-        ++failovers;
-      } else {
-        // Re-issue the current target: lost (and retiring) capacity drops
-        // out of the live count, so the engine schedules replacement
-        // launches now — fired on a notice, the launch lag overlaps the
-        // victim's notice window.
-        const Status respread =
-            engines[j]->Reconfigure(engines[j]->target_config());
-        if (!respread.ok()) {
-          control_status = respread;
-          return;
-        }
-        ++respreads;
-      }
-      control_log.push_back(FleetControlEvent{
-          t, action.kind, names_[indices[j]], action.reason});
-    }
-    // Shed-knob changes, last and unconditionally: shedding is an
-    // admission regime, not capacity, so a same-barrier reallocation
-    // does not supersede it. One change per model per barrier (the
-    // first action on a model wins); only the deadline knob moves — the
-    // run-level bounded-queue settings stay as configured.
-    std::vector<bool> shed_set(n, false);
-    for (const control::ControlAction& action : actions) {
-      if (action.kind != control::ControlActionKind::kSetShed) continue;
-      if (action.model >= n) {
-        control_status = Status::InvalidArgument(
-            "controller " + controller->Name() + " targeted model index " +
-            std::to_string(action.model) + " with " +
-            control::ControlActionName(action.kind) +
-            ", but the served plan has " + std::to_string(n) + " models");
-        return;
-      }
-      if (shed_set[action.model]) continue;
-      shed_set[action.model] = true;
-      const std::size_t j = action.model;
-      serving::AdmissionOptions admission = engines[j]->admission();
-      admission.deadline_s = action.deadline_s;
-      const Status set = engines[j]->SetAdmission(admission);
-      if (!set.ok()) {
-        control_status = set;
-        return;
-      }
-      ++shed_actions;
-      control_log.push_back(FleetControlEvent{
-          t, action.kind, names_[indices[j]], action.reason});
-    }
-  };
-
-  // One FleetTelemetry reused across barriers; the per-model window
-  // vectors are stable (outer vector sized once), so the pointers stay
-  // valid for the duration of each Decide() call.
-  control::FleetTelemetry telemetry;
-  telemetry.duration_s = options.duration_s;
-  telemetry.window_s = options.window_s;
-  telemetry.budget_per_hour = options_.budget_per_hour;
-  telemetry.models.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    // Run-invariant fields, filled once; the per-barrier snapshot below
-    // only refreshes what actually moves.
-    const std::size_t i = indices[j];
-    telemetry.models[j].model = names_[i];
-    telemetry.models[j].arrival_scale = model_options_[i].arrival_scale;
-    telemetry.models[j].qos_ms = sessions_[i].qos_ms();
-    telemetry.models[j].windows = &windows[j];
   }
-  auto snapshot_telemetry = [&](Time t, bool window_closed) {
-    telemetry.now = t;
-    telemetry.window_closed = window_closed;
-    telemetry.windows_closed = n > 0 ? windows[0].size() : 0;
-    telemetry.last_reallocation = last_realloc_time;
-    for (std::size_t j = 0; j < n; ++j) {
-      control::ModelTelemetry& model = telemetry.models[j];
-      model.share_per_hour = shares[j];
-      model.offered = engines[j]->Offered();
-      model.served = engines[j]->Served();
-      model.backlog = engines[j]->Backlog();
-      const double elapsed = std::max(t - last_realloc_time, 1e-9);
-      model.observed_rate_qps =
-          static_cast<double>(model.offered - offered_at_realloc[j]) /
-          elapsed;
-      // After a kResetMonitor the planning monitor *is* the live window;
-      // what the current configuration was planned against is then the
-      // frozen reference, not the window's moving mean (which would make
-      // plan_mean_batch track live_mean_batch and contradict `drift`).
-      model.plan_mean_batch =
-          !live_monitors.empty() && plan_monitors[j] == &live_monitors[j]
-              ? live_monitors[j].reference_mean_batch()
-              : plan_monitors[j]->MeanBatch();
-      if (!live_monitors.empty()) {
-        model.live_mean_batch = live_monitors[j].MeanBatch();
-        model.live_queries = live_monitors[j].Count();
-        model.drift = live_monitors[j].BatchMixDrift();
-      } else {
-        model.live_mean_batch = 0.0;
-        model.live_queries = 0;
-        model.drift = 0.0;
-      }
-      model.live_instances = engines[j]->AssignableInstances();
-      model.target_instances = static_cast<std::size_t>(
-          engines[j]->target_config().TotalInstances());
-      model.pending_instances = engines[j]->PendingInstances();
-      model.instances_lost = engines[j]->InstancesLost();
-      model.preemption_notices = engines[j]->PreemptionNotices();
-      model.rejected = engines[j]->Rejected();
-      model.shed = engines[j]->Shed();
-      model.shed_deadline_s = engines[j]->admission().deadline_s;
-      // The spot discount this model's capacity is renting at right now
-      // (1.0 = on-demand): the injector's market quote evaluated on its
-      // curve at the barrier time.
-      const cloud::SpotMarket* market =
-          injector != nullptr ? injector->Market(j) : nullptr;
-      model.spot_discount = market != nullptr ? market->DiscountAt(t) : 1.0;
+  SnapshotTelemetry(t, window_closed);
+  std::optional<telemetry::ScopedSpan> span;
+  OpenSpan(span, "control.decide");
+  if (span.has_value()) span->AddArg("controller", controller_->Name());
+  const std::vector<control::ControlAction> actions =
+      controller_->Decide(snapshot_);
+  if (span.has_value()) {
+    // The chosen actions ride the span as args — this is how a trace
+    // answers "why did the controller fire here?".
+    span->AddArg("actions", std::to_string(actions.size()));
+    for (std::size_t a = 0; a < actions.size(); ++a) {
+      span->AddArg(
+          "action" + std::to_string(a),
+          std::string(control::ControlActionName(actions[a].kind)) +
+              (actions[a].model < n_ ? " " + names_[actions[a].model]
+                                     : std::string()) +
+              (actions[a].reason.empty() ? "" : ": " + actions[a].reason));
     }
-  };
+    tel_->metrics().Add(tel_->control_actions(), tel_->fleet_shard(),
+                        static_cast<double>(actions.size()));
+  }
+  return Apply(t, actions);
+}
 
-  // The barrier drive loop. Advancing a shard fires its own arrivals,
-  // completions, policy rounds, load shifts and live-monitor taps up to
-  // the barrier — work that never touches another shard — so the shards
-  // run concurrently on a pool reused across barriers. The shared step —
-  // window snapshots, telemetry, controller decisions, action
-  // application — runs joined, on this thread, exactly as the
-  // single-threaded walk would; the whole control loop is therefore
-  // bit-identical for every serve_threads value.
-  const std::size_t workers = ParallelismFor(options.serve_threads, n);
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
-  auto advance_all = [&](Time t) {
-    if (pool != nullptr) {
-      ParallelFor(*pool, n,
-                  [&engines, t](std::size_t j) { engines[j]->AdvanceTo(t); });
+Status Fleet::ServeRun::Apply(
+    Time t, const std::vector<control::ControlAction>& actions) {
+  // The whole list is checked before any of it is applied.
+  for (const control::ControlAction& action : actions) {
+    const Status valid = ValidateTarget(action);
+    if (!valid.ok()) return valid;
+  }
+  // Phase order, whatever order the controller listed its actions in:
+  // monitor resets (a same-barrier re-plan must read the post-reset mix),
+  // the reallocation, loan changes (so a same-barrier kFailover replans a
+  // borrower at its new share), recoveries, and shed knobs last.
+  Status status = ResetMonitors(t, actions);
+  if (!status.ok()) return status;
+  const StatusOr<bool> reallocated = Reallocate(t, actions);
+  if (!reallocated.ok()) return reallocated.status();
+  // A re-split already replanned and reconfigured every model at a
+  // freshly derived share: loan changes and recoveries are superseded.
+  if (!*reallocated) {
+    status = ChangeLoans(t, actions);
+    if (!status.ok()) return status;
+    status = Recover(t, actions);
+    if (!status.ok()) return status;
+  }
+  // Shedding is an admission regime, not capacity, so a same-barrier
+  // reallocation does not supersede it.
+  return SetShed(t, actions);
+}
+
+Status Fleet::ServeRun::ValidateTarget(
+    const control::ControlAction& action) const {
+  if (action.kind == control::ControlActionKind::kReallocate) {
+    return Status::Ok();  // fleet-wide: `model` is ignored
+  }
+  if (action.model >= n_) {
+    return Status::InvalidArgument(
+        "controller " + controller_->Name() + " targeted model index " +
+        std::to_string(action.model) + " with " +
+        control::ControlActionName(action.kind) +
+        ", but the served plan has " + std::to_string(n_) + " models");
+  }
+  if (action.kind == control::ControlActionKind::kBorrowBudget &&
+      action.amount_per_hour < 0.0) {
+    return Status::InvalidArgument(
+        "controller " + controller_->Name() +
+        " emitted BORROW_BUDGET with a negative amount (" +
+        FormatDollarsPerHour(action.amount_per_hour) + ")");
+  }
+  return Status::Ok();
+}
+
+Status Fleet::ServeRun::ResetMonitors(
+    Time t, const std::vector<control::ControlAction>& actions) {
+  for (const control::ControlAction& action : actions) {
+    if (action.kind != control::ControlActionKind::kResetMonitor) continue;
+    if (live_monitors_.empty()) {
+      // Per the FleetController contract a reset-emitting controller must
+      // declare NeedsLiveMix(); silently dropping the reset would leave
+      // replans on the stale mix with no trace.
+      return Status::FailedPrecondition(
+          "controller " + controller_->Name() +
+          " emitted kResetMonitor but NeedsLiveMix() is false, so no live "
+          "mix exists to reset to");
+    }
+    // An empty live window would leave nothing to plan against; the reset
+    // waits until the stream has produced samples.
+    workload::QueryMonitor& live = live_monitors_[action.model];
+    if (live.Count() == 0) continue;
+    plan_monitors_[action.model] = &live;
+    live.MarkPlanningReference();
+    ++monitor_resets_;
+    Log(t, action, names_[action.model]);
+  }
+  return Status::Ok();
+}
+
+StatusOr<bool> Fleet::ServeRun::Reallocate(
+    Time t, const std::vector<control::ControlAction>& actions) {
+  // At most one re-split per barrier: it already replans every model.
+  const auto action = std::find_if(
+      actions.begin(), actions.end(), [](const control::ControlAction& a) {
+        return a.kind == control::ControlActionKind::kReallocate;
+      });
+  if (action == actions.end()) return false;
+  // A re-split re-derives every share from the global budget, returning
+  // all borrowed headroom to the pool: every open loan is repaid first
+  // (the re-split then overwrites the shares), keeping borrowed == repaid
+  // exact.
+  ledger_.RepayAll(shares_);
+  const double interval_s = action->interval_s > 0.0
+                                ? action->interval_s
+                                : std::max(t - last_realloc_time_, 1e-9);
+  std::optional<telemetry::ScopedSpan> span;
+  OpenSpan(span, "fleet.realloc");
+  if (span.has_value()) span->AddArg("interval_s", std::to_string(interval_s));
+  // The arrival rates observed over the interval are the demand weights.
+  std::vector<double> demand(n_);
+  for (std::size_t j = 0; j < n_; ++j) {
+    const std::size_t offered_now = engines_[j]->Offered();
+    const double observed_rate =
+        static_cast<double>(offered_now - offered_at_realloc_[j]) / interval_s;
+    offered_at_realloc_[j] = offered_now;
+    demand[j] = std::max(observed_rate, 1e-6);
+  }
+  auto split = fleet_.SplitBudget(*allocator_, *backend_, indices_, demand,
+                                  plan_monitors_, options_.search);
+  if (!split.ok()) return split.status();
+  for (std::size_t j = 0; j < n_; ++j) {
+    const Status replanned = Replan(j, (*split)[j]);
+    if (!replanned.ok()) return replanned;
+  }
+  shares_ = *std::move(split);
+  ++reallocations_;
+  last_realloc_time_ = t;
+  Log(t, *action, "");
+  return true;
+}
+
+Status Fleet::ServeRun::ChangeLoans(
+    Time t, const std::vector<control::ControlAction>& actions) {
+  for (const control::ControlAction* action : FirstPerModel(
+           actions, n_, {control::ControlActionKind::kBorrowBudget})) {
+    const std::size_t j = action->model;
+    // When a same-barrier kFailover names this model, the ledger only
+    // moves the shares here and leaves the replan to it — one replan,
+    // not two.
+    const bool replanned_later = std::any_of(
+        actions.begin(), actions.end(), [j](const control::ControlAction& a) {
+          return a.kind == control::ControlActionKind::kFailover &&
+                 a.model == j;
+        });
+    std::vector<std::size_t> replans;
+    if (action->amount_per_hour > 0.0) {
+      auto donors = ledger_.Borrow(j, action->amount_per_hour, shares_,
+                                   floors_);
+      if (!donors.has_value()) continue;  // no headroom: loan declined
+      // A donor's plan only fits its shrunk share after a replan.
+      replans = *std::move(donors);
+      if (!replanned_later) replans.push_back(j);
     } else {
-      for (std::size_t j = 0; j < n; ++j) engines[j]->AdvanceTo(t);
+      // Amount 0 repays: the borrower shrinks back inside its restored
+      // share first, then the donors replan up to reclaim theirs.
+      const std::vector<Loan> repaid = ledger_.Repay(j, shares_);
+      if (repaid.empty()) continue;
+      if (!replanned_later) replans.push_back(j);
+      for (const Loan& loan : repaid) replans.push_back(loan.donor);
     }
-  };
-  // Faults armed at t <= 0 (e.g. a NET_DEGRADE window opening at the
-  // start) land before the first arrival fires.
-  drain_chaos(0.0);
-  telemetry::TelemetrySink sink(tel);
-  for (const auto& [t, kinds] : barriers) {
-    advance_all(t);
-    if ((kinds & kWindowBarrier) != 0) {
-      std::optional<telemetry::ScopedSpan> window_span;
-      if (tel != nullptr) {
-        window_span.emplace(&tel->tracer(), tel->fleet_shard(),
-                            "window.snapshot");
-        window_span->AddArg("t_s", std::to_string(t));
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        windows[j].push_back(engines[j]->TakeWindow());
-        if (options.window_probe) {
-          options.window_probe(j, windows[j].back());
-        }
-      }
+    for (const std::size_t m : replans) {
+      const Status replanned = Replan(m, shares_[m]);
+      if (!replanned.ok()) return replanned;
     }
-    // Chaos lands before the controller looks: a loss applied here is in
-    // the telemetry of the same barrier's Decide(), so a chaos-aware
-    // controller reacts with zero barrier lag.
-    drain_chaos(t);
-    // The horizon barrier only closes the final window: an action applied
-    // there could never serve a query, so the controller is not consulted
-    // — centrally, rather than as a guard every controller must remember.
-    if (controller != nullptr && t < options.duration_s - 1e-9) {
-      snapshot_telemetry(t, (kinds & kWindowBarrier) != 0);
-      std::optional<telemetry::ScopedSpan> decide_span;
-      if (tel != nullptr) {
-        decide_span.emplace(&tel->tracer(), tel->fleet_shard(),
-                            "control.decide");
-        decide_span->AddArg("controller", controller->Name());
-      }
-      const std::vector<control::ControlAction> actions =
-          controller->Decide(telemetry);
-      if (decide_span.has_value()) {
-        // The chosen actions ride the span as args — this is how a trace
-        // answers "why did the controller fire here?".
-        decide_span->AddArg("actions", std::to_string(actions.size()));
-        for (std::size_t a = 0; a < actions.size(); ++a) {
-          decide_span->AddArg(
-              "action" + std::to_string(a),
-              std::string(control::ControlActionName(actions[a].kind)) +
-                  (actions[a].model < n
-                       ? " " + names_[indices[actions[a].model]]
-                       : std::string()) +
-                  (actions[a].reason.empty() ? "" : ": " + actions[a].reason));
-        }
-        tel->metrics().Add(tel->control_actions(), tel->fleet_shard(),
-                           static_cast<double>(actions.size()));
-      }
-      apply_actions(t, actions);
-      if (!control_status.ok()) return control_status;
-      decide_span.reset();
-    }
-    if (tel != nullptr) {
-      // Fleet-shard bookkeeping at quiescence: the per-shard event-queue
-      // depth gauge, the barrier counter, and the sink's registry
-      // snapshot into FleetServeResult::telemetry_samples.
-      for (std::size_t j = 0; j < n; ++j) {
-        tel->metrics().Set(tel->sim_pending_events(), j,
-                           static_cast<double>(clocks[j]->PendingEvents()));
-      }
-      tel->metrics().Add(tel->barriers(), tel->fleet_shard());
-      sink.AtBarrier(t, kinds);
-    }
+    Log(t, *action, names_[j]);
   }
+  return Status::Ok();
+}
 
-  // Loans still outstanding at the horizon force-repay into the totals —
-  // the run is over and the borrowed headroom returns to its donors — so
-  // the conservation invariant borrowed == repaid holds exactly and
-  // final_shares_per_hour reports the unborrowed split.
-  for (std::size_t j = 0; j < n; ++j) {
-    if (loans[j].empty()) continue;
-    double repaid = 0.0;
-    for (const auto& loan : loans[j]) {
-      shares[loan.first] += loan.second;
-      repaid += loan.second;
+Status Fleet::ServeRun::Recover(
+    Time t, const std::vector<control::ControlAction>& actions) {
+  for (const control::ControlAction* action :
+       FirstPerModel(actions, n_,
+                     {control::ControlActionKind::kRespread,
+                      control::ControlActionKind::kFailover})) {
+    const std::size_t j = action->model;
+    if (action->kind == control::ControlActionKind::kFailover) {
+      const Status replanned = Replan(j, shares_[j]);
+      if (!replanned.ok()) return replanned;
+      ++failovers_;
+    } else {
+      // Re-issue the current target: lost (and retiring) capacity drops
+      // out of the live count, so the engine schedules replacement
+      // launches now — fired on a notice, the launch lag overlaps the
+      // victim's notice window.
+      const Status respread =
+          engines_[j]->Reconfigure(engines_[j]->target_config());
+      if (!respread.ok()) return respread;
+      ++respreads_;
     }
-    shares[j] -= repaid;
-    for (const std::size_t id : loan_event_ids[j]) {
-      loan_events[id].repaid = true;
-    }
-    loan_event_ids[j].clear();
-    ++paybacks;
-    loans[j].clear();
+    Log(t, *action, names_[j]);
   }
+  return Status::Ok();
+}
 
-  // Fold the loan ledger once, in borrow order, for both totals: when
-  // every grant was repaid (always, by construction) the two sums add
-  // the identical doubles in the identical order and compare equal
-  // bit-for-bit.
-  double budget_borrowed = 0.0;
-  double budget_repaid = 0.0;
-  for (const LoanEvent& event : loan_events) {
-    budget_borrowed += event.granted;
-    if (event.repaid) budget_repaid += event.granted;
+Status Fleet::ServeRun::SetShed(
+    Time t, const std::vector<control::ControlAction>& actions) {
+  // Only the deadline knob moves; the run-level bounded-queue settings
+  // stay as configured.
+  for (const control::ControlAction* action : FirstPerModel(
+           actions, n_, {control::ControlActionKind::kSetShed})) {
+    serving::Engine& engine = *engines_[action->model];
+    serving::AdmissionOptions admission = engine.admission();
+    admission.deadline_s = action->deadline_s;
+    const Status set = engine.SetAdmission(admission);
+    if (!set.ok()) return set;
+    ++shed_actions_;
+    Log(t, *action, names_[action->model]);
   }
+  return Status::Ok();
+}
 
+Status Fleet::ServeRun::Replan(std::size_t j, double budget) {
+  std::optional<telemetry::ScopedSpan> span;
+  OpenSpan(span, "fleet.replan");
+  if (span.has_value()) {
+    span->AddArg("model", names_[j]);
+    span->AddArg("budget_per_hour", std::to_string(budget));
+  }
+  auto outcome =
+      fleet_.PlanInShare(*backend_, indices_[j], budget, *plan_monitors_[j],
+                         options_.search, /*n_minus_one=*/true, tel_);
+  if (!outcome.ok()) return outcome.status();
+  const Status reconfigured = engines_[j]->Reconfigure(outcome->config);
+  if (!reconfigured.ok()) return reconfigured;
+  // A model already moved to the live window was just replanned against
+  // it: the window's current mean is the new planning-time reference, or
+  // plan_mean_batch / drift would keep describing a replaced config.
+  if (!live_monitors_.empty() && plan_monitors_[j] == &live_monitors_[j]) {
+    live_monitors_[j].MarkPlanningReference();
+  }
+  return Status::Ok();
+}
+
+void Fleet::ServeRun::Record(Time t, unsigned kinds) {
+  if (tel_ == nullptr) return;
+  for (std::size_t j = 0; j < n_; ++j) {
+    tel_->metrics().Set(tel_->sim_pending_events(), j,
+                        static_cast<double>(clocks_[j]->PendingEvents()));
+  }
+  tel_->metrics().Add(tel_->barriers(), tel_->fleet_shard());
+  sink_.AtBarrier(t, kinds);
+}
+
+FleetServeResult Fleet::ServeRun::Finish() {
+  // Loans still open at the horizon are repaid — the run is over and the
+  // headroom returns to its donors — so borrowed == repaid holds exactly
+  // and final_shares_per_hour reports the unborrowed split.
+  ledger_.RepayAll(shares_);
   FleetServeResult result;
-  result.duration_s = options.duration_s;
-  result.telemetry_samples = sink.TakeSamples();
-  result.telemetry_samples_dropped = sink.dropped_samples();
-  result.reallocations = reallocations;
-  result.monitor_resets = monitor_resets;
-  result.respreads = respreads;
-  result.failovers = failovers;
-  result.shed_actions = shed_actions;
-  result.borrows = borrows;
-  result.paybacks = paybacks;
-  result.budget_borrowed_per_hour = budget_borrowed;
-  result.budget_repaid_per_hour = budget_repaid;
-  result.control_log = std::move(control_log);
+  result.duration_s = options_.duration_s;
+  result.telemetry_samples = sink_.TakeSamples();
+  result.telemetry_samples_dropped = sink_.dropped_samples();
+  result.reallocations = reallocations_;
+  result.monitor_resets = monitor_resets_;
+  result.respreads = respreads_;
+  result.failovers = failovers_;
+  result.shed_actions = shed_actions_;
+  result.borrows = ledger_.borrows();
+  result.paybacks = ledger_.paybacks();
+  std::tie(result.budget_borrowed_per_hour, result.budget_repaid_per_hour) =
+      ledger_.Totals();
+  result.control_log = std::move(control_log_);
   // Ledger-drained kills interleave with injector events out of order
   // (they fire on shard clocks between barriers); one stable sort
   // restores time order deterministically.
-  std::stable_sort(chaos_log.begin(), chaos_log.end(),
+  std::stable_sort(chaos_log_.begin(), chaos_log_.end(),
                    [](const FleetChaosEvent& a, const FleetChaosEvent& b) {
                      return a.time < b.time;
                    });
-  result.chaos_log = std::move(chaos_log);
-  result.final_shares_per_hour = std::move(shares);
-  for (std::size_t j = 0; j < n; ++j) {
+  result.chaos_log = std::move(chaos_log_);
+  result.final_shares_per_hour = std::move(shares_);
+  const cloud::Catalog& catalog = fleet_.catalog_;
+  for (std::size_t j = 0; j < n_; ++j) {
+    const serving::Engine& engine = *engines_[j];
     FleetModelServe serve;
-    serve.model = names_[indices[j]];
-    serve.totals = engines[j]->Totals();
-    serve.windows = std::move(windows[j]);
-    serve.qps = static_cast<double>(serve.totals.served) / options.duration_s;
-    serve.instances_lost = engines[j]->InstancesLost();
-    serve.preemption_notices = engines[j]->PreemptionNotices();
-    // Billed spend at on-demand prices from the engine's census, then the
-    // injector's spot market (when it quotes one for this model) applies
-    // its discount — integrated over the run when the market carries a
-    // time-varying curve — the "effective cost" a preemptible fleet
-    // actually pays for the capacity it rented.
-    const std::vector<double> billed = engines[j]->BilledSecondsPerType();
+    serve.model = names_[j];
+    serve.totals = engine.Totals();
+    serve.windows = std::move(windows_[j]);
+    serve.qps = static_cast<double>(serve.totals.served) / options_.duration_s;
+    serve.instances_lost = engine.InstancesLost();
+    serve.preemption_notices = engine.PreemptionNotices();
+    // Billed spend at on-demand prices from the engine's census; the
+    // injector's spot market (when it quotes one for this model) then
+    // applies its discount, integrated over the run for a time-varying
+    // curve — the "effective cost" a preemptible fleet actually pays.
+    const std::vector<double> billed = engine.BilledSecondsPerType();
     double ondemand_usd = 0.0;
-    for (cloud::TypeId type = 0; type < catalog_.size(); ++type) {
-      ondemand_usd += billed[type] * catalog_[type].price_per_hour / 3600.0;
+    for (cloud::TypeId type = 0; type < catalog.size(); ++type) {
+      ondemand_usd += billed[type] * catalog[type].price_per_hour / 3600.0;
     }
     serve.ondemand_cost_usd = ondemand_usd;
     const cloud::SpotMarket* market =
-        injector != nullptr ? injector->Market(j) : nullptr;
+        injector_ != nullptr ? injector_->Market(j) : nullptr;
     serve.effective_cost_usd =
         market != nullptr
-            ? cloud::SpotCost(*market, ondemand_usd, options.duration_s)
+            ? cloud::SpotCost(*market, ondemand_usd, options_.duration_s)
             : ondemand_usd;
     result.total_qps += serve.qps;
     result.total_weighted_qps +=
-        model_options_[indices[j]].arrival_scale * serve.qps;
+        fleet_.model_options_[indices_[j]].arrival_scale * serve.qps;
     result.instances_lost += serve.instances_lost;
     result.preemption_notices += serve.preemption_notices;
     result.ondemand_cost_usd += serve.ondemand_cost_usd;
@@ -1541,32 +1472,59 @@ StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
     result.models.push_back(std::move(serve));
   }
   result.effective_cost_per_hour =
-      result.effective_cost_usd * 3600.0 / options.duration_s;
+      result.effective_cost_usd * 3600.0 / options_.duration_s;
   return result;
+}
+
+StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
+                                           FleetServeOptions options) const {
+  if (options.duration_s <= 0.0 || options.base_rate_qps <= 0.0 ||
+      options.window_s <= 0.0) {
+    return Status::InvalidArgument(
+        "ServeAll needs positive duration_s, base_rate_qps and window_s");
+  }
+  if (options.admission.max_queue_s < 0.0 ||
+      options.admission.deadline_s < 0.0) {
+    return Status::InvalidArgument(
+        "FleetServeOptions::admission: max_queue_s and deadline_s must "
+        "be >= 0");
+  }
+  auto indices = Resolve(plan);
+  if (!indices.ok()) return indices.status();
+  ServeRun run(*this, plan, *std::move(indices), std::move(options));
+  const Status built = run.Build();
+  if (!built.ok()) return built;
+  // Faults armed at t <= 0 (e.g. a NET_DEGRADE window opening at the
+  // start) land before the first arrival fires.
+  run.DrainChaos(0.0);
+  for (const auto& [t, kinds] : run.barriers()) {
+    run.Advance(t);
+    const bool window_closed = (kinds & kWindowBarrier) != 0;
+    // A coinciding window and decision boundary snapshots first, so the
+    // controller sees the freshly closed window; chaos lands before the
+    // controller looks, so a chaos-aware controller reacts to a loss
+    // with zero barrier lag.
+    if (window_closed) run.SnapshotWindows(t);
+    run.DrainChaos(t);
+    const Status controlled = run.Control(t, window_closed);
+    if (!controlled.ok()) return controlled;
+    run.Record(t, kinds);
+  }
+  return run.Finish();
 }
 
 StatusOr<Runtime> Fleet::Deploy(const std::string& model,
                                 const cloud::Config& config) const {
-  const std::size_t i = IndexOf(model);
-  if (i == kNpos) {
-    return Status::NotFound("model " + model + " is not in this fleet");
-  }
-  return sessions_[i].Deploy(config);
+  const auto i = IndexOf(model);
+  if (!i.ok()) return i.status();
+  return sessions_[*i].Deploy(config);
 }
 
 StatusOr<FleetMeasurement> Fleet::MeasureAll(
     const FleetPlan& plan, const workload::BatchDistribution& mix,
     serving::EvalOptions eval_options) const {
-  std::vector<std::size_t> indices;
-  indices.reserve(plan.models.size());
-  for (const FleetModelPlan& model_plan : plan.models) {
-    const std::size_t i = IndexOf(model_plan.model);
-    if (i == kNpos) {
-      return Status::NotFound("model " + model_plan.model +
-                              " is not in this fleet");
-    }
-    indices.push_back(i);
-  }
+  auto indices = Resolve(plan);
+  if (!indices.ok()) return indices.status();
 
   // Measurements of independent models share nothing; run them in
   // parallel, each under the model's own trace when one is set.
@@ -1574,7 +1532,7 @@ StatusOr<FleetMeasurement> Fleet::MeasureAll(
   ParallelFor(plan.models.size(), options_.planning_threads,
               [&](std::size_t j) {
                 const FleetModelPlan& model_plan = plan.models[j];
-                const std::size_t i = indices[j];
+                const std::size_t i = (*indices)[j];
                 serving::EvalOptions per_model = eval_options;
                 if (model_plan.outcome.expected_qps > 0.0) {
                   per_model.rate_guess = 0.5 * model_plan.outcome.expected_qps;
@@ -1590,7 +1548,7 @@ StatusOr<FleetMeasurement> Fleet::MeasureAll(
     m.result = results[j];
     measurement.total_qps += m.result.qps;
     measurement.total_weighted_qps +=
-        model_options_[indices[j]].arrival_scale * m.result.qps;
+        model_options_[(*indices)[j]].arrival_scale * m.result.qps;
     measurement.models.push_back(std::move(m));
   }
   return measurement;

@@ -178,21 +178,13 @@ struct FleetServeOptions {
   double base_rate_qps = 40.0;
   /// Cadence of per-model WindowedMetrics snapshots.
   double window_s = 5.0;
-  /// Cadence of the "PERIODIC" controller when no `controller` is named:
-  /// every period the fleet reads each model's observed arrival rate over
-  /// the elapsed period, re-splits the global budget with the configured
-  /// allocator (demand-weighted), re-plans every model inside its new
-  /// share, and reconfigures the live engines (instance launches obey
-  /// launch_lag_s). 0 = frozen allocation — the initial plan serves the
-  /// whole run. With a named `controller` this only seeds its "period_s"
-  /// knob (when declared and not overridden in controller_knobs).
-  double realloc_period_s = 0.0;
   /// Control-plane strategy (ControllerRegistry name: PERIODIC, QOS,
-  /// BACKLOG, DRIFT, COMPOSITE). "" keeps the legacy wiring — "PERIODIC"
-  /// when realloc_period_s > 0, no control loop otherwise. The controller
-  /// is consulted at every barrier of the merged window/decision grid
-  /// with a FleetTelemetry snapshot and its ControlActions are applied to
-  /// the live engines (see control/controller.h).
+  /// BACKLOG, DRIFT, COMPOSITE, ...); "" = no control loop, the initial
+  /// plan serves the whole run (frozen allocation). The controller is
+  /// consulted at every barrier of the merged window/decision grid with a
+  /// FleetTelemetry snapshot and its ControlActions are applied to the
+  /// live engines (see control/controller.h). A fixed reallocation timer
+  /// is "PERIODIC" with the knob {"period_s", p}.
   std::string controller;
   /// Knob overrides for the named controller (e.g. QOS's "p99_scale").
   control::KnobMap controller_knobs;
@@ -432,9 +424,7 @@ class Fleet {
   /// re-plans every model inside its new share and reconfigures the live
   /// engines (launch lag modeled); kResetMonitor drops a model's stale
   /// planning-time mix and re-plans it against the live stream's sliding
-  /// window from then on. The legacy wiring (controller == "",
-  /// realloc_period_s > 0) routes through "PERIODIC" and reproduces the
-  /// fixed-timer loop bit for bit (tests/fleet_serve_test.cc).
+  /// window from then on.
   ///
   /// Chaos: a named `chaos` injector (or a programmatic `injector`) is
   /// armed on the run's schedule; its precomputed fault times become
@@ -443,10 +433,10 @@ class Fleet {
   /// log, the chaos telemetry fields, and the billed-spend accounting
   /// (effective vs on-demand cost under the injector's spot market).
   ///
-  /// Errors: kInvalidArgument (non-positive duration/rate/window/period,
+  /// Errors: kInvalidArgument (non-positive duration/rate/window,
   /// unknown shift model, shift scale <= 0, shift time outside the
   /// horizon, bad controller or chaos knobs, both `chaos` and `injector`
-  /// set), kNotFound (plan model not in the fleet, unknown controller or
+  /// set, a control action aimed outside the served plan), kNotFound (plan model not in the fleet, unknown controller or
   /// chaos name), kFailedPrecondition (empty monitor when a controller is
   /// configured).
   StatusOr<FleetServeResult> ServeAll(const FleetPlan& plan,
@@ -455,8 +445,40 @@ class Fleet {
  private:
   Fleet(const cloud::Catalog& catalog, FleetOptions options);
 
-  /// Index of `model` in names_, or npos.
-  std::size_t IndexOf(const std::string& model) const;
+  /// One ServeAll co-simulation: the shards and the barrier-shared state,
+  /// one method per barrier phase (defined in fleet.cc).
+  class ServeRun;
+
+  /// Index of `model` in names_, or kNotFound.
+  StatusOr<std::size_t> IndexOf(const std::string& model) const;
+
+  /// Fleet index of each plan model, plan order; kNotFound for a stranger.
+  StatusOr<std::vector<std::size_t>> Resolve(const FleetPlan& plan) const;
+
+  /// True when model i is N-1 sized (plan_n_minus_one over >= 2 domains).
+  bool NMinusOne(std::size_t i) const;
+
+  /// Splits the global budget with `allocator` over the models `indices`
+  /// (in that order) at the given demand weights; the probe plans model
+  /// j against `monitors[j]`.
+  StatusOr<std::vector<double>> SplitBudget(
+      const BudgetAllocator& allocator, const PlannerBackend& backend,
+      const std::vector<std::size_t>& indices,
+      const std::vector<double>& demand,
+      const std::vector<const workload::QueryMonitor*>& monitors,
+      const search::SearchOptions& search) const;
+
+  /// Plans model i inside `share` against `monitor`. With `n_minus_one`
+  /// an N-1 sized model gets its deployment sizing: the core planned in
+  /// (d-1)/d of the share, then padded for a domain loss. `tel`, when
+  /// set, counts and traces the planner's evaluation trials. Errors carry
+  /// the "model X: " prefix.
+  StatusOr<PlannerOutcome> PlanInShare(const PlannerBackend& backend,
+                                       std::size_t i, double share,
+                                       const workload::QueryMonitor& monitor,
+                                       const search::SearchOptions& search,
+                                       bool n_minus_one,
+                                       telemetry::Telemetry* tel) const;
 
   /// The mix model i observes / is measured under: its own trace when
   /// set, `fallback` otherwise.

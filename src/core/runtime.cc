@@ -22,10 +22,6 @@ std::unique_ptr<serving::ServingSystem> Runtime::MakeSystem() const {
       options_.predictor, options_.run);
 }
 
-serving::RunResult Runtime::Serve(const workload::Trace& trace) const {
-  return MakeSystem()->Run(trace);
-}
-
 StatusOr<std::unique_ptr<serving::Engine>> Runtime::MakeEngine(
     serving::EngineOptions engine_options,
     sim::Simulator* shared_clock) const {

@@ -1,8 +1,7 @@
 // The Kairos central controller runtime (Fig. 4 left half): a serving
-// deployment wired with the Kairos query-distribution policy, plus
-// convenience entry points for serving traces and measuring allowable
-// throughput. Online callers stream through MakeEngine() (DESIGN.md
-// Sec. 8); Serve() survives as the batch compatibility path.
+// deployment wired with the Kairos query-distribution policy, with entry
+// points for streaming engines (MakeEngine, DESIGN.md Sec. 8) and for
+// measuring allowable throughput.
 #pragma once
 
 #include <memory>
@@ -29,15 +28,6 @@ class Runtime {
   Runtime(const cloud::Catalog& catalog, cloud::Config config,
           const latency::LatencyModel& truth, double qos_ms,
           RuntimeOptions options = {});
-
-  /// Serves a trace to completion on a fresh system.
-  ///
-  /// \deprecated Compatibility shim over serving::Engine: submits the
-  /// whole trace upfront and drains — identical results to the
-  /// pre-engine implementation, but closed-world. Streaming callers
-  /// (continuous arrivals, windowed metrics, mid-run mutation) should
-  /// use MakeEngine() instead.
-  serving::RunResult Serve(const workload::Trace& trace) const;
 
   /// Builds a streaming engine over this deployment (the Kairos policy,
   /// this runtime's predictor/run options). Pass a `shared_clock` to

@@ -6,8 +6,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/parallel.h"
 #include "infer/tensor.h"
-#include "infer/thread_pool.h"
 
 namespace kairos::infer {
 

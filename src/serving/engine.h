@@ -19,9 +19,9 @@
 //
 // Several engines may shard one sim::Simulator (the shared-clock
 // constructor): Fleet::ServeAll co-simulates every model of a fleet on
-// one event loop this way. The batch entry points — ServingSystem::Run,
-// Runtime::Serve — are thin shims over this class and reproduce their
-// pre-engine results bit for bit (tests/engine_test.cc).
+// one event loop this way. The batch entry point ServingSystem::Run is a
+// thin shim over this class and reproduces its pre-engine results bit
+// for bit (tests/engine_test.cc).
 #pragma once
 
 #include <memory>

@@ -199,7 +199,7 @@ core::FleetServeOptions SpikeServe(const std::string& controller) {
   serve.launch_lag_s = 1.0;
   serve.shifts = {core::FleetLoadShift{18.0, "RM2", 6.0}};
   serve.controller = controller;
-  if (controller == "PERIODIC") serve.realloc_period_s = 40.0;
+  if (controller == "PERIODIC") serve.controller_knobs = {{"period_s", 40.0}};
   return serve;
 }
 
@@ -452,7 +452,7 @@ TEST(FleetControlTest, PeriodicSafetyNetYieldsToClosedLoopSiblings) {
   // 40s grid point the fleet is fresh and the net must skip rather than
   // double-fire a redundant re-split.
   core::FleetServeOptions serve = SpikeServe("COMPOSITE");
-  serve.realloc_period_s = 40.0;  // inherited by the PERIODIC child
+  serve.controller_knobs = {{"period_s", 40.0}};  // the PERIODIC child
   const auto chained = fleet.ServeAll(*plan, serve);
   ASSERT_TRUE(chained.ok()) << chained.status().ToString();
   ASSERT_GE(chained->reallocations, 1u);
@@ -490,10 +490,9 @@ TEST(FleetControlTest, UnknownControllerAndBadKnobsSurfaceAsStatus) {
   EXPECT_EQ(fleet.ServeAll(*plan, bad_knob).status().code(),
             StatusCode::kInvalidArgument);
 
-  // Knobs without a named controller would be silently dropped by the
-  // legacy wiring; they are rejected instead.
+  // Knobs without a named controller would be silently dropped; they
+  // are rejected instead.
   core::FleetServeOptions orphan_knobs = SpikeServe("");
-  orphan_knobs.realloc_period_s = 10.0;
   orphan_knobs.controller_knobs = {{"p99_scale", 1.1}};
   EXPECT_EQ(fleet.ServeAll(*plan, orphan_knobs).status().code(),
             StatusCode::kInvalidArgument);
@@ -501,11 +500,90 @@ TEST(FleetControlTest, UnknownControllerAndBadKnobsSurfaceAsStatus) {
   // A period aimed at a controller that cannot honor it is equally loud
   // (QOS declares no period_s knob; COMPOSITE is the supported spelling).
   core::FleetServeOptions orphan_period = SpikeServe("QOS");
-  orphan_period.realloc_period_s = 40.0;
+  orphan_period.controller_knobs = {{"period_s", 40.0}};
   const auto rejected = fleet.ServeAll(*plan, orphan_period);
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(rejected.status().message().find("COMPOSITE"),
+  EXPECT_NE(rejected.status().message().find("period_s"), std::string::npos);
+}
+
+// A test-only controller that emits one action at its first decision:
+// knob "kind" indexes ControlActionKind, "model" is the target index and
+// "amount" the BORROW_BUDGET $/hr. It drives the fleet's action-target
+// validation with targets no built-in controller emits.
+class OneShotController final : public FleetController {
+ public:
+  explicit OneShotController(ControlAction action)
+      : action_(std::move(action)) {}
+  std::string Name() const override { return "ONE_SHOT"; }
+  std::vector<ControlAction> Decide(const FleetTelemetry&) override {
+    if (fired_) return {};
+    fired_ = true;
+    return {action_};
+  }
+
+ private:
+  ControlAction action_;
+  bool fired_ = false;
+};
+
+const ControllerRegistrar kOneShotRegistrar(
+    {"ONE_SHOT", "test-only: one action at the first barrier",
+     {{"kind", 0.0}, {"model", 0.0}, {"amount", 0.0}}},
+    [](const KnobMap& knobs) -> StatusOr<std::unique_ptr<FleetController>> {
+      ControlAction action;
+      action.kind =
+          static_cast<ControlActionKind>(static_cast<int>(knobs.at("kind")));
+      action.model = static_cast<std::size_t>(knobs.at("model"));
+      action.amount_per_hour = knobs.at("amount");
+      action.reason = "test";
+      return std::unique_ptr<FleetController>(
+          std::make_unique<OneShotController>(std::move(action)));
+    });
+
+TEST(FleetControlTest, ActionsAimedOutsideThePlanAreRejected) {
+  const core::Fleet fleet = SpikeFleet();
+  const auto plan = fleet.PlanAll();
+  ASSERT_TRUE(plan.ok());
+  const auto serve_one_shot = [&](ControlActionKind kind, double model,
+                                  double amount) {
+    core::FleetServeOptions serve = SpikeServe("ONE_SHOT");
+    serve.duration_s = 9.0;
+    serve.shifts.clear();
+    serve.controller_knobs = {{"kind", static_cast<double>(
+                                           static_cast<int>(kind))},
+                              {"model", model},
+                              {"amount", amount}};
+    return fleet.ServeAll(*plan, serve);
+  };
+
+  // The served plan has three models; index 3 is the first outside it.
+  for (const ControlActionKind kind :
+       {ControlActionKind::kResetMonitor, ControlActionKind::kBorrowBudget,
+        ControlActionKind::kRespread, ControlActionKind::kFailover,
+        ControlActionKind::kSetShed}) {
+    const auto result = serve_one_shot(kind, 3.0, 1.0);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << ControlActionName(kind);
+    EXPECT_NE(result.status().message().find("controller ONE_SHOT"),
+              std::string::npos)
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find("model index 3"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+
+  const auto negative =
+      serve_one_shot(ControlActionKind::kBorrowBudget, 0.0, -1.0);
+  EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(negative.status().message().find("controller ONE_SHOT"),
             std::string::npos);
+  EXPECT_NE(negative.status().message().find("negative amount"),
+            std::string::npos);
+
+  // The same actions on a served model apply cleanly.
+  const auto in_range = serve_one_shot(ControlActionKind::kSetShed, 0.0, 0.0);
+  ASSERT_TRUE(in_range.ok()) << in_range.status().ToString();
+  EXPECT_EQ(in_range->shed_actions, 1u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "core/kairos.h"
 #include "core/planner.h"
 #include "core/runtime.h"
+#include "policy/registry.h"
 
 namespace kairos::core {
 namespace {
@@ -91,14 +92,16 @@ TEST(KairosFacadeTest, PlanWithEvaluationsReturnsBudgetedConfig) {
   EXPECT_GT(result.best_qps, 0.0);
 }
 
-TEST(MakePolicyFactoryTest, BuildsAllSchemes) {
+TEST(PolicyFactoryTest, BuildsAllSchemes) {
   for (const char* name : {"KAIROS", "RIBBON", "DRS", "CLKWRK"}) {
-    const auto factory = MakePolicyFactory(name, 150);
-    const auto policy = factory();
+    const auto factory = PolicyRegistry::Global().MakeFactory(name);
+    ASSERT_TRUE(factory.ok()) << factory.status().ToString();
+    const auto policy = (*factory)();
     ASSERT_NE(policy, nullptr);
     EXPECT_EQ(policy->Name(), name);
   }
-  EXPECT_THROW(MakePolicyFactory("FCFS++"), std::out_of_range);
+  EXPECT_EQ(PolicyRegistry::Global().MakeFactory("FCFS++").status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(MonitorFromMixTest, DeterministicForSeed) {
@@ -118,7 +121,13 @@ TEST(RuntimeTest, ServeRunsTraceWithKairosPolicy) {
   const auto mix = workload::LogNormalBatches::Production();
   const auto trace = workload::Trace::Generate(
       workload::PoissonArrivals(50.0), mix, 300, rng);
-  const auto result = runtime.Serve(trace);
+  auto engine = runtime.MakeEngine();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  for (const workload::Query& q : trace.queries()) {
+    ASSERT_TRUE((*engine)->Submit(q).ok());
+  }
+  (*engine)->Drain();
+  const auto result = (*engine)->Totals();
   EXPECT_EQ(result.served, 300u);
   EXPECT_GT(result.throughput_qps, 0.0);
 }

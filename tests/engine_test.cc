@@ -97,23 +97,6 @@ TEST(EngineShimTest, ServingSystemRunEqualsManualSubmitDrain) {
   ExpectSameRunResult(batch, engine.Totals());
 }
 
-TEST(EngineShimTest, RuntimeServeEqualsEngineOnPaperPool) {
-  const Catalog catalog = Catalog::PaperPool();
-  const auto spec = latency::FindModel("WND");
-  const auto truth = spec.Instantiate(catalog);
-  core::Runtime runtime(catalog, Config({1, 0, 2, 0}), truth, spec.qos_ms);
-  const Trace trace = MediumTrace(50.0, 300, 3);
-  const RunResult via_shim = runtime.Serve(trace);
-
-  auto engine = runtime.MakeEngine();
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  for (const Query& q : trace.queries()) {
-    ASSERT_TRUE((*engine)->Submit(q).ok());
-  }
-  (*engine)->Drain();
-  ExpectSameRunResult(via_shim, (*engine)->Totals());
-}
-
 // --- State machine and submission rules. ---
 
 TEST(EngineTest, StateMachineServingDrainingDrained) {

@@ -3,12 +3,12 @@
 #include <atomic>
 #include <numeric>
 
+#include "common/parallel.h"
 #include "common/stats.h"
 #include "infer/net.h"
 #include "infer/ops.h"
 #include "infer/rec_models.h"
 #include "infer/tensor.h"
-#include "infer/thread_pool.h"
 
 namespace kairos::infer {
 namespace {
@@ -26,23 +26,15 @@ TEST(TensorTest, ShapeAndAccess) {
 TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
+  ParallelFor(pool, 1000, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForSmallAndEmpty) {
-  ThreadPool pool(4);
-  int count = 0;
-  pool.ParallelFor(0, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count, 0);
-  pool.ParallelFor(2, [&](std::size_t) { ++count; });  // runs inline
-  EXPECT_EQ(count, 2);
 }
 
 TEST(ThreadPoolTest, SingleThreadFallback) {
   ThreadPool pool(1);
   std::vector<int> order;
-  pool.ParallelFor(5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
+  ParallelFor(pool, 5,
+              [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 

@@ -3,6 +3,7 @@
 #include <array>
 
 #include "core/kairos.h"
+#include "policy/registry.h"
 #include "serving/throughput_eval.h"
 #include "ub/selector.h"
 #include "ub/upper_bound.h"
@@ -152,8 +153,8 @@ TEST_P(UbDominatesAchieved, BoundHolds) {
   opt.queries = 500;
   opt.rate_guess = std::max(1.0, 0.5 * bound);
   const auto achieved = serving::EvaluateConfig(
-      catalog, config, truth, qos_ms, core::MakePolicyFactory(scheme, 200),
-      mix, opt);
+      catalog, config, truth, qos_ms,
+      *PolicyRegistry::Global().MakeFactory(scheme), mix, opt);
   EXPECT_LE(achieved.qps, bound * 1.05) << config.ToString() << " " << scheme;
 }
 
