@@ -1,22 +1,23 @@
 #include "cloud/config_space.h"
 
+#include <algorithm>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 
 namespace kairos::cloud {
 
-std::vector<Config> EnumerateConfigs(const Catalog& catalog,
-                                     const ConfigSpaceOptions& options) {
-  const std::size_t n = catalog.size();
-  if (n == 0) return {};
-  const TypeId base = catalog.BaseType();
-  std::vector<Config> out;
-  std::vector<int> counts(n, 0);
+namespace {
 
-  // Depth-first over types; prune by remaining budget at each level.
-  std::function<void(std::size_t, double)> visit = [&](std::size_t type,
-                                                       double remaining) {
+/// Depth-first over types; prunes by remaining budget at each level.
+struct SpaceWalk {
+  const Catalog& catalog;
+  const ConfigSpaceOptions& options;
+  const ConfigVisitor& visit;
+  TypeId base;
+  std::vector<int> counts;
+
+  void Level(std::size_t type, double remaining) {
+    const std::size_t n = counts.size();
     if (type == n) {
       if (counts[base] < options.min_base_instances) return;
       if (!options.include_empty_aux) {
@@ -26,18 +27,36 @@ std::vector<Config> EnumerateConfigs(const Catalog& catalog,
         }
         if (aux_total == 0) return;
       }
-      out.emplace_back(counts);
+      visit(counts);
       return;
     }
     const double price = catalog[type].price_per_hour;
     const int max_count = static_cast<int>(std::floor(remaining / price + 1e-9));
     for (int c = 0; c <= max_count; ++c) {
       counts[type] = c;
-      visit(type + 1, remaining - c * price);
+      Level(type + 1, remaining - c * price);
     }
     counts[type] = 0;
-  };
-  visit(0, options.budget_per_hour);
+  }
+};
+
+}  // namespace
+
+void ForEachConfig(const Catalog& catalog, const ConfigSpaceOptions& options,
+                   const ConfigVisitor& visit) {
+  const std::size_t n = catalog.size();
+  if (n == 0) return;
+  SpaceWalk walk{catalog, options, visit, catalog.BaseType(),
+                 std::vector<int>(n, 0)};
+  walk.Level(0, options.budget_per_hour);
+}
+
+std::vector<Config> EnumerateConfigs(const Catalog& catalog,
+                                     const ConfigSpaceOptions& options) {
+  std::vector<Config> out;
+  ForEachConfig(catalog, options, [&out](std::span<const int> counts) {
+    out.emplace_back(std::vector<int>(counts.begin(), counts.end()));
+  });
   return out;
 }
 

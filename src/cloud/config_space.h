@@ -4,6 +4,8 @@
 // never meet QoS, so such configs have zero allowable throughput).
 #pragma once
 
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "cloud/config.h"
@@ -18,8 +20,17 @@ struct ConfigSpaceOptions {
   bool include_empty_aux = true; ///< keep homogeneous (aux counts all zero)
 };
 
-/// Enumerates every config within budget, in lexicographic order.
-/// The search space is small by construction (order of 1e2-1e4 configs).
+/// Called once per config with its counts indexed by TypeId; the span is
+/// only valid during the call.
+using ConfigVisitor = std::function<void(std::span<const int> counts)>;
+
+/// Visits every config within budget, in lexicographic order, without
+/// materializing the space. The search space is small by construction
+/// (order of 1e2-1e4 configs).
+void ForEachConfig(const Catalog& catalog, const ConfigSpaceOptions& options,
+                   const ConfigVisitor& visit);
+
+/// ForEachConfig collected into a list, in the same order.
 std::vector<Config> EnumerateConfigs(const Catalog& catalog,
                                      const ConfigSpaceOptions& options);
 

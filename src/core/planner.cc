@@ -13,11 +13,15 @@ Planner::Planner(PlannerContext ctx) : ctx_(ctx) {
   }
 }
 
-std::vector<cloud::Config> Planner::ConfigSpace() const {
+cloud::ConfigSpaceOptions Planner::SpaceOptions() const {
   cloud::ConfigSpaceOptions options;
   options.budget_per_hour = ctx_.budget_per_hour;
   options.min_base_instances = 1;
-  return cloud::EnumerateConfigs(*ctx_.catalog, options);
+  return options;
+}
+
+std::vector<cloud::Config> Planner::ConfigSpace() const {
+  return cloud::EnumerateConfigs(*ctx_.catalog, SpaceOptions());
 }
 
 Plan Planner::PlanConfiguration(const workload::QueryMonitor& monitor) const {

@@ -36,7 +36,10 @@ class Planner {
  public:
   explicit Planner(PlannerContext ctx);
 
-  /// The budgeted configuration space (>= 1 base instance).
+  /// Enumeration options of the budgeted space (>= 1 base instance).
+  cloud::ConfigSpaceOptions SpaceOptions() const;
+
+  /// The budgeted configuration space, materialized.
   std::vector<cloud::Config> ConfigSpace() const;
 
   /// One-shot Kairos planning from monitored workload statistics.

@@ -1,6 +1,7 @@
 #include "core/planner_backend.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "cloud/config_space.h"
@@ -28,31 +29,17 @@ Status ValidateRequest(const PlannerContext& ctx, const PlanRequest& request) {
   return Status::Ok();
 }
 
+Status NothingFits(const PlannerContext& ctx) {
+  return Status::Infeasible("no configuration with a base instance fits " +
+                            FormatDollarsPerHour(ctx.budget_per_hour));
+}
+
 /// The budgeted space (enumerated once, reused by the planner), or
 /// kInfeasible when not even one base instance fits.
 StatusOr<std::vector<cloud::Config>> BudgetedSpace(const PlannerContext& ctx) {
   std::vector<cloud::Config> space = Planner(ctx).ConfigSpace();
-  if (space.empty()) {
-    return Status::Infeasible("no configuration with a base instance fits " +
-                              FormatDollarsPerHour(ctx.budget_per_hour));
-  }
+  if (space.empty()) return NothingFits(ctx);
   return space;
-}
-
-/// The one-shot Sec. 5.2 pass shared by KairosBackend::Plan and the
-/// default PlannerBackend::Probe: rank upper bounds, apply the similarity
-/// rule, spend zero evaluations.
-StatusOr<PlannerOutcome> OneShotPlan(const PlannerContext& ctx,
-                                     const PlanRequest& request) {
-  if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
-  auto space = BudgetedSpace(ctx);
-  if (!space.ok()) return space.status();
-  PlannerOutcome outcome;
-  outcome.plan = Planner(ctx).PlanConfiguration(*request.monitor, *space);
-  outcome.config = outcome.plan->config;
-  outcome.expected_qps =
-      outcome.plan->ranked[outcome.plan->selection.chosen_rank].upper_bound;
-  return outcome;
 }
 
 /// One-shot Kairos: rank upper bounds, apply the similarity rule, spend
@@ -63,7 +50,15 @@ class KairosBackend final : public PlannerBackend {
 
   StatusOr<PlannerOutcome> Plan(const PlannerContext& ctx,
                                 const PlanRequest& request) const override {
-    return OneShotPlan(ctx, request);
+    if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
+    auto space = BudgetedSpace(ctx);
+    if (!space.ok()) return space.status();
+    PlannerOutcome outcome;
+    outcome.plan = Planner(ctx).PlanConfiguration(*request.monitor, *space);
+    outcome.config = outcome.plan->config;
+    outcome.expected_qps =
+        outcome.plan->ranked[outcome.plan->selection.chosen_rank].upper_bound;
+    return outcome;
   }
 };
 
@@ -195,14 +190,33 @@ StatusOr<PlannerOutcome> PlannerBackend::Probe(
   // Analytic for every backend: a probe runs once per (model, budget
   // increment) during allocation, so real evaluations here would dwarf
   // the planning pass they are meant to guide.
-  auto outcome = OneShotPlan(ctx, request);
-  if (!outcome.ok()) return outcome;
+  if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
   // Report the *best* upper bound in the budgeted space, not the
   // similarity-rule pick: the space only grows with budget, so this
   // estimate is monotone in ctx.budget_per_hour — exactly the property
   // marginal-utility water-filling needs (a locally dipping estimate
-  // makes greedy allocation abandon a model that still scales).
-  outcome->expected_qps = outcome->plan->ranked.front().upper_bound;
+  // makes greedy allocation abandon a model that still scales). The first
+  // maximal bound in enumeration order is what a stable descending rank
+  // would put in front, so the space is walked once and never ranked.
+  const ub::UpperBoundEstimator estimator(*ctx.catalog, *ctx.truth,
+                                          ctx.qos_ms);
+  ub::UpperBoundEstimator::Scan scan(estimator, *request.monitor);
+  std::vector<int> best_counts;
+  best_counts.reserve(ctx.catalog->size());
+  double best = 0.0;
+  cloud::ForEachConfig(
+      *ctx.catalog, Planner(ctx).SpaceOptions(),
+      [&](std::span<const int> counts) {
+        const double qps = scan.Estimate(counts).qps_max;
+        if (best_counts.empty() || qps > best) {
+          best = qps;
+          best_counts.assign(counts.begin(), counts.end());
+        }
+      });
+  if (best_counts.empty()) return NothingFits(ctx);
+  PlannerOutcome outcome;
+  outcome.config = cloud::Config(std::move(best_counts));
+  outcome.expected_qps = best;
   return outcome;
 }
 

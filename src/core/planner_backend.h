@@ -63,9 +63,12 @@ class PlannerBackend {
   /// Incremental budget probe: estimates what this backend would achieve
   /// at ctx.budget_per_hour, cheaply enough that the Fleet's MARGINAL
   /// allocator can call it once per (model, budget increment). The base
-  /// implementation runs the one-shot upper-bound ranking — analytic, no
-  /// real evaluations — regardless of NeedsEvaluations(), and never
-  /// consults PlanRequest::eval. Same error contract as Plan() minus the
+  /// implementation walks the budgeted space once and reports the first
+  /// maximal upper bound in enumeration order (the config a stable
+  /// descending ranking would put in front) — analytic, no ranking, no
+  /// similarity rule, no real evaluations — regardless of
+  /// NeedsEvaluations(), and never consults PlanRequest::eval. Its
+  /// outcome carries no `plan`. Same error contract as Plan() minus the
   /// missing-eval case.
   virtual StatusOr<PlannerOutcome> Probe(const PlannerContext& ctx,
                                          const PlanRequest& request) const;

@@ -16,6 +16,7 @@
 // simplification for multiple auxiliary types).
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <utility>
 #include <vector>
@@ -47,9 +48,14 @@ struct UpperBoundBreakdown {
   bool base_bottleneck = false;  ///< which Eq. 15 branch fired
 };
 
-/// Upper-bound estimator bound to one (catalog, model, QoS) context.
+/// Upper-bound estimator bound to one (catalog, model, QoS) context. The
+/// catalog/truth/QoS invariants (base type, auxiliary types, each
+/// auxiliary's largest QoS-feasible batch and latency curve) are derived
+/// once, at construction.
 class UpperBoundEstimator {
  public:
+  class Scan;
+
   UpperBoundEstimator(const cloud::Catalog& catalog,
                       const latency::LatencyModel& truth, double qos_ms);
 
@@ -64,14 +70,57 @@ class UpperBoundEstimator {
   }
 
   /// Estimates for a whole candidate list (the warmup step the paper times
-  /// at "under 2 seconds for 1000 configurations").
+  /// at "under 2 seconds for 1000 configurations"). One Scan over the
+  /// list: s' takes at most |aux types|+1 distinct values, so the monitor's
+  /// histogram is read once per distinct s' and each config then costs
+  /// O(types) with no heap allocation.
   std::vector<double> EstimateAll(const std::vector<cloud::Config>& configs,
                                   const workload::QueryMonitor& monitor) const;
 
  private:
-  const cloud::Catalog& catalog_;
-  const latency::LatencyModel& truth_;
-  double qos_ms_;
+  struct AuxType {
+    cloud::TypeId type;
+    int max_qos_batch;           ///< MaxQosBatch(type, qos_ms)
+    std::size_t slot;            ///< index of max(0, max_qos_batch) in s_values_
+    latency::AffineLatency curve;
+  };
+
+  std::size_t num_types_ = 0;
+  cloud::TypeId base_ = 0;
+  latency::AffineLatency base_curve_;
+  std::vector<AuxType> aux_;     ///< catalog order
+  std::vector<int> s_values_;    ///< distinct candidate s', ascending; [0] = 0
+};
+
+/// The estimator applied to one monitor snapshot. The s'-dependent mix
+/// statistics (f', Q_b^{s+}, the small-query mean) are computed on first
+/// use of each distinct s' and memoized; every config shares them. Every
+/// estimate — Estimate(), QpsMax(), EstimateAll(), the planner's budget
+/// probe — goes through Scan::Estimate. The estimator and the monitor must
+/// outlive the scan, and the monitor must not change while it is in use.
+class UpperBoundEstimator::Scan {
+ public:
+  Scan(const UpperBoundEstimator& estimator,
+       const workload::QueryMonitor& monitor);
+
+  /// Breakdown for one config given as counts indexed by TypeId. Throws
+  /// std::invalid_argument when the arity differs from the catalog's.
+  UpperBoundBreakdown Estimate(std::span<const int> counts);
+
+ private:
+  struct MixStats {
+    bool ready = false;
+    double f_prime = 0.0;
+    double q_b_splus = 0.0;
+    double mean_small = 0.0;
+  };
+  const MixStats& Mix(std::size_t slot);
+
+  const UpperBoundEstimator& est_;
+  const workload::QueryMonitor& monitor_;
+  double q_b_ = 0.0;  ///< base standalone rate, all queries
+  std::vector<MixStats> mix_;                  ///< indexed like s_values_
+  std::vector<std::pair<int, double>> aux_;    ///< per-config scratch
 };
 
 }  // namespace kairos::ub

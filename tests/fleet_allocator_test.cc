@@ -10,6 +10,8 @@
 #include "common/status.h"
 #include "core/allocator.h"
 #include "core/fleet.h"
+#include "core/planner_backend.h"
+#include "latency/model_zoo.h"
 #include "workload/batch_dist.h"
 
 namespace kairos {
@@ -187,6 +189,62 @@ TEST(StaticAllocatorTest, WeightProportionalWithFloorAndCeiling) {
   ASSERT_FALSE(infeasible.ok());
   EXPECT_EQ(infeasible.status().code(), StatusCode::kInfeasible);
   EXPECT_NE(infeasible.status().message().find("m1"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The default planner probe
+// ---------------------------------------------------------------------------
+
+// The probe walks the space once for the first maximal upper bound; the
+// one-shot ranking puts exactly that config in front. Checked at every
+// budget MARGINAL's auto step visits on its way from one base instance to
+// $12/hr, for every Table-3 model.
+TEST(PlannerProbeTest, MatchesTheRankingAtEveryMarginalStep) {
+  const Catalog catalog = Catalog::PaperPool();
+  const auto backend = *PlannerRegistry::Global().Build("KAIROS+");
+  const auto monitor =
+      core::MonitorFromMix(workload::LogNormalBatches::Production(), 10000, 7);
+  core::PlanRequest request;
+  request.monitor = &monitor;
+
+  const double floor = catalog[catalog.BaseType()].price_per_hour;
+  const double budget = 12.0;
+  // MarginalAllocator's auto step and grant accumulation, for one model.
+  std::vector<double> budgets = {floor};
+  const double step = std::max((budget - floor) / 32.0, 0.001);
+  for (double remaining = budget - floor; remaining > 1e-9;) {
+    const double grant = std::min(step, remaining);
+    budgets.push_back(budgets.back() + grant);
+    remaining -= grant;
+  }
+  ASSERT_EQ(budgets.size(), 33u);
+
+  for (const latency::ModelSpec& spec : latency::ModelZoo()) {
+    const latency::LatencyModel truth = spec.Instantiate(catalog);
+    double previous = 0.0;
+    for (const double b : budgets) {
+      const core::PlannerContext ctx{&catalog, &truth, spec.qos_ms, b};
+      const auto probe = backend->Probe(ctx, request);
+      ASSERT_TRUE(probe.ok()) << spec.name << " $" << b << ": "
+                              << probe.status().ToString();
+      const core::Plan plan = core::Planner(ctx).PlanConfiguration(monitor);
+      EXPECT_EQ(probe->expected_qps, plan.ranked.front().upper_bound)
+          << spec.name << " $" << b;
+      EXPECT_EQ(probe->config, plan.ranked.front().config)
+          << spec.name << " $" << b << ": " << probe->config.ToString()
+          << " vs " << plan.ranked.front().config.ToString();
+      EXPECT_EQ(probe->evaluations, 0u);
+      EXPECT_FALSE(probe->plan.has_value());
+      EXPECT_GE(probe->expected_qps, previous) << spec.name << " $" << b;
+      previous = probe->expected_qps;
+    }
+
+    const core::PlannerContext broke{&catalog, &truth, spec.qos_ms,
+                                     0.99 * floor};
+    const auto infeasible = backend->Probe(broke, request);
+    ASSERT_FALSE(infeasible.ok()) << spec.name;
+    EXPECT_EQ(infeasible.status().code(), StatusCode::kInfeasible);
+  }
 }
 
 // ---------------------------------------------------------------------------

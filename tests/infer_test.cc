@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <time.h>
+
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 
@@ -159,17 +162,48 @@ TEST_P(RecModelTest, ProducesPerSampleScores) {
   }
 }
 
+// The calling thread's CPU time in ms.
+double ThreadCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
+// Per-batch inference cost as the minimum over `rounds` samples of the
+// calling thread's CPU time. A 1-worker pool runs every kernel inline on
+// this thread, so its CPU clock covers the whole inference, and time spent
+// descheduled on a loaded host does not count (a wall clock counts it).
+// What CPU time still sees is a vCPU slowed by a busy sibling core, for
+// tens of milliseconds at a time; every round therefore samples every
+// batch size once, so all sizes draw their minimum from the same phases.
+std::vector<double> CpuLatencyMs(const RecModel& model,
+                                 const std::vector<std::size_t>& batches,
+                                 int rounds) {
+  ThreadPool inline_pool(1);
+  std::vector<double> best(batches.size(), 0.0);
+  for (int r = 0; r < rounds; ++r) {
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+      const double start = ThreadCpuMs();
+      (void)model.Infer(batches[i], inline_pool, static_cast<std::uint64_t>(r));
+      const double ms = ThreadCpuMs() - start;
+      best[i] = r == 0 ? ms : std::min(best[i], ms);
+    }
+  }
+  return best;
+}
+
 TEST_P(RecModelTest, LatencyGrowsRoughlyLinearlyWithBatch) {
   // The Sec. 5.1 observation this whole reproduction leans on: latency vs.
-  // batch size is near-perfectly linear (paper: Pearson > 0.99). Real
-  // wall-clock measurement is noisy on shared CI machines, so the gate is
-  // slightly relaxed but still demands strong linearity.
-  ThreadPool pool(2);
+  // batch size is near-perfectly linear (paper: Pearson > 0.99). Co-tenants
+  // on shared CI machines still perturb caches, so the gate is slightly
+  // relaxed but still demands strong linearity.
   const auto model = BuildRecModel(GetParam());
   const std::vector<std::size_t> batches = {8, 64, 160, 320, 512};
-  const std::vector<double> lat = MeasureLatencyMs(*model, batches, pool, 3);
+  const std::vector<double> lat = CpuLatencyMs(*model, batches, 7);
   std::vector<double> xs(batches.begin(), batches.end());
-  EXPECT_GT(PearsonCorrelation(xs, lat), 0.95) << model->Name();
+  EXPECT_GT(PearsonCorrelation(xs, lat), 0.95)
+      << model->Name() << " ms per batch: " << ::testing::PrintToString(lat);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, RecModelTest,

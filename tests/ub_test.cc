@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <utility>
+#include <vector>
 
+#include "cloud/config_space.h"
 #include "core/kairos.h"
+#include "latency/model_zoo.h"
 #include "policy/registry.h"
 #include "serving/throughput_eval.h"
 #include "ub/selector.h"
@@ -131,6 +136,133 @@ TEST(UpperBoundEstimatorTest, InvalidInputsThrow) {
   const auto monitor =
       core::MonitorFromMix(workload::LogNormalBatches::Production(), 100, 3);
   EXPECT_THROW(est.Estimate(Config({1}), monitor), std::invalid_argument);
+}
+
+// --- The estimator is the paper's formula, bit for bit. ---
+
+// Eq. 12-15 written out per config, straight from the header's comment,
+// with nothing memoized: every monitor statistic is read afresh through
+// the public QueryMonitor calls. The estimator memoizes the s'-dependent
+// statistics across configs; the results must match with ==.
+double OracleQpsMax(const Catalog& catalog, const LatencyModel& truth,
+                    double qos_ms, const Config& config,
+                    const workload::QueryMonitor& monitor) {
+  const cloud::TypeId base = catalog.BaseType();
+  const int u = config.Count(base);
+  int s_prime = 0;
+  for (const cloud::TypeId t : catalog.AuxiliaryTypes()) {
+    if (config.Count(t) <= 0) continue;
+    s_prime = std::max(s_prime, truth.MaxQosBatch(t, qos_ms));
+  }
+  const double f_prime = monitor.FractionAtOrBelow(s_prime);
+  const latency::AffineLatency& base_curve = truth.Curve(base);
+  const double mean_all = std::max(1.0, monitor.MeanBatch());
+  const double q_b =
+      1000.0 / (base_curve.base_ms + base_curve.per_item_ms * mean_all);
+  const double mean_large = monitor.MeanBatchAbove(s_prime);
+  const double q_b_splus =
+      mean_large > 0.0
+          ? 1000.0 / (base_curve.base_ms + base_curve.per_item_ms * mean_large)
+          : q_b;
+  const double mean_small = monitor.MeanBatchAtOrBelow(s_prime);
+  std::vector<std::pair<int, double>> aux;
+  for (const cloud::TypeId t : catalog.AuxiliaryTypes()) {
+    const int v = config.Count(t);
+    if (v <= 0) continue;
+    if (truth.MaxQosBatch(t, qos_ms) <= 0 || mean_small <= 0.0) {
+      aux.emplace_back(v, 0.0);
+      continue;
+    }
+    const latency::AffineLatency& curve = truth.Curve(t);
+    aux.emplace_back(v, 1000.0 / (curve.base_ms + curve.per_item_ms * mean_small));
+  }
+  return UpperBoundGeneral(u, q_b, q_b_splus, aux, f_prime);
+}
+
+workload::QueryMonitor MonitorOfOneBatch(int batch) {
+  workload::QueryMonitor monitor(1000);
+  for (int i = 0; i < 1000; ++i) monitor.Observe(batch);
+  return monitor;
+}
+
+// The largest QoS-feasible batch over the catalog's auxiliary types.
+int MaxAuxQosBatch(const Catalog& catalog, const LatencyModel& truth,
+                   double qos_ms) {
+  int s = 0;
+  for (const cloud::TypeId t : catalog.AuxiliaryTypes()) {
+    s = std::max(s, truth.MaxQosBatch(t, qos_ms));
+  }
+  return s;
+}
+
+TEST(UpperBoundEstimatorTest, MatchesPerConfigOracleBitForBit) {
+  const auto production =
+      core::MonitorFromMix(workload::LogNormalBatches::Production(), 8000, 5);
+  const auto all_small = MonitorOfOneBatch(1);
+  const auto all_large = MonitorOfOneBatch(latency::kMaxBatchSize);
+  for (const Catalog& catalog :
+       {Catalog::PaperPool(), Catalog::MotivationPool()}) {
+    for (const char* name : {"RM2", "DIEN"}) {
+      const latency::ModelSpec& spec = latency::FindModel(name);
+      const LatencyModel truth = spec.Instantiate(catalog);
+
+      // A QoS tight enough that some auxiliary type cannot serve even a
+      // single request (MaxQosBatch == 0) while another still can: halfway
+      // between the two highest per-type thresholds for batch 1.
+      std::vector<double> thresholds;
+      for (const cloud::TypeId t : catalog.AuxiliaryTypes()) {
+        thresholds.push_back(truth.Curve(t).AtBatch(1) / latency::kQosSafety);
+      }
+      std::sort(thresholds.rbegin(), thresholds.rend());
+      ASSERT_GE(thresholds.size(), 2u);
+      ASSERT_GT(thresholds[0], thresholds[1]) << name;
+      const double tight_qos = 0.5 * (thresholds[0] + thresholds[1]);
+      bool some_aux_is_zero = false;
+      for (const cloud::TypeId t : catalog.AuxiliaryTypes()) {
+        some_aux_is_zero |= truth.MaxQosBatch(t, tight_qos) == 0;
+      }
+      ASSERT_TRUE(some_aux_is_zero) << name;
+      ASSERT_GT(MaxAuxQosBatch(catalog, truth, tight_qos), 0) << name;
+
+      struct Case {
+        const char* label;
+        double qos_ms;
+        const workload::QueryMonitor& monitor;
+      };
+      const Case cases[] = {{"production", spec.qos_ms, production},
+                            {"all-small", spec.qos_ms, all_small},
+                            {"all-large", spec.qos_ms, all_large},
+                            {"tight-qos", tight_qos, production}};
+      // The mixes cover both degenerate f' values.
+      ASSERT_EQ(all_small.FractionAtOrBelow(
+                    MaxAuxQosBatch(catalog, truth, spec.qos_ms)),
+                1.0);
+      ASSERT_EQ(all_large.FractionAtOrBelow(
+                    MaxAuxQosBatch(catalog, truth, spec.qos_ms)),
+                0.0);
+
+      for (const Case& c : cases) {
+        const UpperBoundEstimator est(catalog, truth, c.qos_ms);
+        for (const double budget : {2.5, 5.0, 10.0}) {
+          const auto space = cloud::EnumerateConfigs(
+              catalog, {.budget_per_hour = budget, .min_base_instances = 1});
+          ASSERT_FALSE(space.empty());
+          const std::vector<double> all = est.EstimateAll(space, c.monitor);
+          ASSERT_EQ(all.size(), space.size());
+          for (std::size_t k = 0; k < space.size(); ++k) {
+            const double oracle =
+                OracleQpsMax(catalog, truth, c.qos_ms, space[k], c.monitor);
+            ASSERT_EQ(all[k], oracle)
+                << name << " " << c.label << " $" << budget << " "
+                << space[k].ToString();
+            ASSERT_EQ(est.Estimate(space[k], c.monitor).qps_max, oracle)
+                << name << " " << c.label << " $" << budget << " "
+                << space[k].ToString();
+          }
+        }
+      }
+    }
+  }
 }
 
 // Key paper invariant (Definition 2): the estimated bound dominates the
