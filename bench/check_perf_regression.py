@@ -4,10 +4,10 @@ committed baseline and fail on any metric that regressed by more than the
 given factor (default 2x, direction-aware via each metric's
 higher_is_better flag).
 
-Two absolute gates ride along when the current run has >= 8 hardware
-threads: serve_all_speedup_8t must reach 1.5x and a single-core baseline
-becomes a hard failure (a multi-core runner must not be anchored to a
-starved baseline — refresh it instead).
+Two absolute gates ride along. When the current run has more than one
+hardware thread, a single-core baseline is a hard failure (a multi-core
+runner must not be anchored to a starved baseline; refresh it instead).
+When it has >= 8 hardware threads, serve_all_speedup_8t must reach 1.5x.
 
 Usage: check_perf_regression.py CURRENT BASELINE [--factor 2.0]
 

@@ -12,8 +12,7 @@
 //                                    queue churn (fire one / schedule one)
 //                                    at a held occupancy, per backend
 //   * eval_trials_per_sec          — AllowableThroughput simulation trials/s
-//   * evals_per_sec_kairos_plus    — KAIROS+ planning, serial evaluation
-//   * evals_per_sec_kairos_plus_batched — same plan, batched eval frontier
+//   * evals_per_sec_kairos_plus    — KAIROS+ planning evaluations/s
 //   * plans_per_sec_kairos         — one-shot (zero-evaluation) planning
 //   * serve_all_wall_s_{1,2,4,8}t  — 8-shard fleet co-simulation wall-clock
 //   * serve_all_speedup_8t         — wall(1 thread) / wall(8 threads)
@@ -48,6 +47,10 @@
 // query is offered through the bounded-memory STREAM path and peak RSS
 // stays under a hard bound (DESIGN.md Sec. 12), or the bench exits
 // non-zero.
+//
+// Next to the metrics, the JSON records the machine and build they came
+// from: hardware_concurrency, cpu_model (/proc/cpuinfo), and the
+// build_type and git_sha taken when CMake configured the build.
 //
 // Usage: perf_suite [output.json] [tiny|full|sustained]
 //   tiny      — CI-sized inputs (seconds); the committed baseline uses tiny.
@@ -348,8 +351,7 @@ Metric EvalTrialsPerSec(std::size_t queries, int rounds) {
   return {"eval_trials_per_sec", static_cast<double>(trials) / wall, true};
 }
 
-/// KAIROS+ planning throughput in evaluations/sec, serial vs batched
-/// frontier (same SearchResult by construction; asserted here).
+/// KAIROS+ planning throughput in evaluations/sec.
 std::vector<Metric> PlannerEvalsPerSec(std::size_t queries,
                                        std::size_t max_evals) {
   const cloud::Catalog catalog = cloud::Catalog::PaperPool();
@@ -368,53 +370,18 @@ std::vector<Metric> PlannerEvalsPerSec(std::size_t queries,
   };
 
   std::vector<Metric> metrics;
-  // The batched frontier must never cost evaluations/sec: it regressed
-  // once (staging overhead with a serial frontier) and EvaluateBatch's
-  // serial fallback exists precisely to keep that from recurring, so the
-  // bench gates batched >= 0.95x serial in-binary. Wall noise on a loaded
-  // runner can fake a miss, so remeasure up to three interleaved pairs and
-  // gate on the best rate seen on each side.
-  constexpr double kBatchedFloor = 0.95;
-  double serial_rate = 0.0, batched_rate = 0.0;
-  core::PlannerOutcome serial_outcome, batched_outcome;
+  // Best of three plans: wall noise on a loaded runner only ever slows a
+  // run down.
+  double rate = 0.0;
   for (int attempt = 0; attempt < 3; ++attempt) {
-    for (const bool batched : {false, true}) {
-      search::SearchOptions search;
-      search.max_evals = max_evals;
-      search.eval_threads = batched ? 0 : 1;  // 0 = hardware concurrency
-      const auto start = Clock::now();
-      const auto outcome = bench.PlanWith("KAIROS+", monitor, eval, search);
-      const double wall = SecondsSince(start);
-      const double rate = static_cast<double>(outcome.evaluations) / wall;
-      if (batched) {
-        batched_rate = std::max(batched_rate, rate);
-        batched_outcome = outcome;
-      } else {
-        serial_rate = std::max(serial_rate, rate);
-        serial_outcome = outcome;
-      }
-    }
-    if (!(serial_outcome.config == batched_outcome.config) ||
-        serial_outcome.evaluations != batched_outcome.evaluations) {
-      std::cerr << "FATAL: batched KAIROS+ diverged from serial ("
-                << serial_outcome.config.ToString() << "/"
-                << serial_outcome.evaluations << " vs "
-                << batched_outcome.config.ToString() << "/"
-                << batched_outcome.evaluations << ")\n";
-      std::exit(1);
-    }
-    if (batched_rate >= kBatchedFloor * serial_rate) break;
+    search::SearchOptions search;
+    search.max_evals = max_evals;
+    const auto start = Clock::now();
+    const auto outcome = bench.PlanWith("KAIROS+", monitor, eval, search);
+    const double wall = SecondsSince(start);
+    rate = std::max(rate, static_cast<double>(outcome.evaluations) / wall);
   }
-  metrics.push_back({"evals_per_sec_kairos_plus", serial_rate, true});
-  metrics.push_back(
-      {"evals_per_sec_kairos_plus_batched", batched_rate, true});
-  if (batched_rate < kBatchedFloor * serial_rate) {
-    std::cerr << "FATAL: batched KAIROS+ evaluation rate " << batched_rate
-              << "/s fell below " << kBatchedFloor << "x the serial rate "
-              << serial_rate << "/s (the batched frontier must never cost "
-              << "throughput; see CountingEvaluator::EvaluateBatch)\n";
-    std::exit(1);
-  }
+  metrics.push_back({"evals_per_sec_kairos_plus", rate, true});
 
   // One-shot planning passes (zero evaluations) for the registry default.
   {
@@ -749,6 +716,28 @@ std::vector<Metric> SustainedStreaming(std::size_t n_queries,
   };
 }
 
+/// The "model name" line of /proc/cpuinfo, or "unknown".
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out;
+}
+
 int Main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_perf.json";
   std::string mode = argc > 2 ? argv[2] : "full";
@@ -828,6 +817,9 @@ int Main(int argc, char** argv) {
   out << "  \"mode\": \"" << mode << "\",\n";
   out << "  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency() << ",\n";
+  out << "  \"cpu_model\": \"" << JsonEscape(CpuModel()) << "\",\n";
+  out << "  \"build_type\": \"" << JsonEscape(PERF_BUILD_TYPE) << "\",\n";
+  out << "  \"git_sha\": \"" << JsonEscape(PERF_GIT_SHA) << "\",\n";
   out << "  \"metrics\": {\n";
   for (std::size_t i = 0; i < metrics.size(); ++i) {
     char value[64];

@@ -43,8 +43,8 @@ class Config {
   std::string ToString() const;
 
   /// 64-bit FNV-1a fingerprint of the count vector. Equal configs share a
-  /// fingerprint; it keys the search memo's unordered containers (see
-  /// cloud::ConfigHash), which sit on the evaluation hot path.
+  /// fingerprint; it keys the search memo (search::CountingEvaluator),
+  /// which sits on the evaluation hot path.
   std::uint64_t Fingerprint() const;
 
   friend bool operator==(const Config& a, const Config& b) {
@@ -57,13 +57,6 @@ class Config {
 
  private:
   std::vector<int> counts_;
-};
-
-/// Hash functor over Config::Fingerprint() for unordered containers.
-struct ConfigHash {
-  std::size_t operator()(const Config& c) const {
-    return static_cast<std::size_t>(c.Fingerprint());
-  }
 };
 
 }  // namespace kairos::cloud

@@ -1,17 +1,15 @@
 // Open-addressing hash map for hot-path lookups keyed by precomputed
 // hashes. std::unordered_map costs a heap node per entry and a pointer
 // chase per probe; FlatHashMap stores (hash, key, value) contiguously with
-// linear probing over a power-of-two table, so the search memo and the
-// engine's per-instance lookups touch one cache line in the common case.
+// linear probing over a power-of-two table, so the search memo touches one
+// cache line in the common case.
 //
 // The 64-bit hash is stored alongside each entry and compared before the
 // key, so expensive key equality (vector compare for cloud::Config) runs
-// only on a hash match. Callers that already hold the hash (e.g.
-// Config::Fingerprint()) use the *Hashed entry points to avoid recomputing
-// it across several maps in one operation.
+// only on a hash match. Callers pass the hash they already hold (e.g.
+// Config::Fingerprint()), computed once for a lookup and its insert.
 //
-// Deletion uses tombstones; tombstones are recycled by insert and swept by
-// the growth rehash. Not thread-safe; iteration order is unspecified.
+// Insert-only: entries are never erased. Not thread-safe.
 #pragma once
 
 #include <cassert>
@@ -22,166 +20,68 @@
 
 namespace kairos {
 
-template <typename K, typename V, typename Hasher>
+template <typename K, typename V>
 class FlatHashMap {
  public:
-  FlatHashMap() = default;
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  void clear() {
-    states_.assign(states_.size(), kEmpty);
-    slots_.clear();
-    slots_.resize(states_.size());
-    size_ = 0;
-    used_ = 0;
-  }
-
   /// Pointer to the mapped value, or nullptr. O(1) expected.
-  V* Find(const K& key) { return FindHashed(Hasher{}(key), key); }
-  const V* Find(const K& key) const {
-    return const_cast<FlatHashMap*>(this)->FindHashed(Hasher{}(key), key);
-  }
-
   V* FindHashed(std::uint64_t hash, const K& key) {
     if (size_ == 0) return nullptr;
-    const std::size_t mask = states_.size() - 1;
-    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-      if (states_[i] == kEmpty) return nullptr;
-      if (states_[i] == kFull && slots_[i].hash == hash &&
-          slots_[i].key == key) {
+    const std::size_t mask = full_.size() - 1;
+    for (std::size_t i = hash & mask; full_[i]; i = (i + 1) & mask) {
+      if (slots_[i].hash == hash && slots_[i].key == key) {
         return &slots_[i].value;
       }
     }
-  }
-
-  bool Contains(const K& key) const { return Find(key) != nullptr; }
-  bool ContainsHashed(std::uint64_t hash, const K& key) const {
-    return const_cast<FlatHashMap*>(this)->FindHashed(hash, key) != nullptr;
+    return nullptr;
   }
 
   /// Inserts key -> value if absent; returns {&value, inserted}. The
   /// existing value is untouched on a hit (unordered_map::emplace rules).
-  std::pair<V*, bool> Insert(const K& key, V value) {
-    return InsertHashed(Hasher{}(key), key, std::move(value));
-  }
-
   std::pair<V*, bool> InsertHashed(std::uint64_t hash, const K& key,
                                    V value) {
-    ReserveForOneMore();
-    const std::size_t mask = states_.size() - 1;
-    std::size_t grave = states_.size();  // first tombstone on the probe path
-    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-      if (states_[i] == kFull) {
-        if (slots_[i].hash == hash && slots_[i].key == key) {
-          return {&slots_[i].value, false};
-        }
-        continue;
-      }
-      if (states_[i] == kGrave) {
-        if (grave == states_.size()) grave = i;
-        continue;
-      }
-      // Empty: the key is absent. Prefer recycling a tombstone so probe
-      // chains stop growing under churn.
-      std::size_t at = (grave != states_.size()) ? grave : i;
-      if (at == i) ++used_;
-      states_[at] = kFull;
-      slots_[at].hash = hash;
-      slots_[at].key = key;
-      slots_[at].value = std::move(value);
-      ++size_;
-      return {&slots_[at].value, true};
+    // Keep load under 3/4 so probes stay short.
+    if ((size_ + 1) * 4 > full_.size() * 3) {
+      Rehash(full_.empty() ? 16 : full_.size() * 2);
     }
-  }
-
-  /// Removes the key; returns whether it was present.
-  bool Erase(const K& key) { return EraseHashed(Hasher{}(key), key); }
-
-  bool EraseHashed(std::uint64_t hash, const K& key) {
-    if (size_ == 0) return false;
-    const std::size_t mask = states_.size() - 1;
-    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-      if (states_[i] == kEmpty) return false;
-      if (states_[i] == kFull && slots_[i].hash == hash &&
-          slots_[i].key == key) {
-        states_[i] = kGrave;
-        slots_[i] = Slot{};  // drop key/value payloads eagerly
-        --size_;
-        return true;
+    const std::size_t mask = full_.size() - 1;
+    std::size_t i = hash & mask;
+    for (; full_[i]; i = (i + 1) & mask) {
+      if (slots_[i].hash == hash && slots_[i].key == key) {
+        return {&slots_[i].value, false};
       }
     }
-  }
-
-  /// Calls fn(key, value) for every entry, unspecified order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-      if (states_[i] == kFull) fn(slots_[i].key, slots_[i].value);
-    }
+    full_[i] = true;
+    slots_[i] = Slot{hash, key, std::move(value)};
+    ++size_;
+    return {&slots_[i].value, true};
   }
 
  private:
-  enum : std::uint8_t { kEmpty = 0, kFull = 1, kGrave = 2 };
-
   struct Slot {
     std::uint64_t hash = 0;
     K key{};
     V value{};
   };
 
-  /// Keeps load (live + tombstones) under 3/4 so probes stay short.
-  void ReserveForOneMore() {
-    if (states_.empty()) {
-      Rehash(16);
-      return;
-    }
-    if ((used_ + 1) * 4 > states_.size() * 3) {
-      // Grow only when live entries justify it; otherwise the rehash just
-      // sweeps tombstones at the same capacity.
-      const std::size_t cap = (size_ + 1) * 4 > states_.size() * 3
-                                  ? states_.size() * 2
-                                  : states_.size();
-      Rehash(cap);
-    }
-  }
-
   void Rehash(std::size_t new_cap) {
     assert((new_cap & (new_cap - 1)) == 0 && "capacity must be 2^k");
-    std::vector<std::uint8_t> old_states = std::move(states_);
+    std::vector<std::uint8_t> old_full = std::move(full_);
     std::vector<Slot> old_slots = std::move(slots_);
-    states_.assign(new_cap, kEmpty);
+    full_.assign(new_cap, false);
     slots_.assign(new_cap, Slot{});
-    size_ = 0;
-    used_ = 0;
-    for (std::size_t i = 0; i < old_states.size(); ++i) {
-      if (old_states[i] != kFull) continue;
-      InsertHashed(old_slots[i].hash, std::move(old_slots[i].key),
-                   std::move(old_slots[i].value));
+    const std::size_t mask = new_cap - 1;
+    for (std::size_t j = 0; j < old_full.size(); ++j) {
+      if (!old_full[j]) continue;
+      std::size_t i = old_slots[j].hash & mask;
+      while (full_[i]) i = (i + 1) & mask;
+      full_[i] = true;
+      slots_[i] = std::move(old_slots[j]);
     }
   }
 
-  std::pair<V*, bool> InsertHashed(std::uint64_t hash, K&& key, V&& value) {
-    // Rehash-internal path: table is fresh, no tombstones, no resize.
-    const std::size_t mask = states_.size() - 1;
-    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-      if (states_[i] == kEmpty) {
-        states_[i] = kFull;
-        slots_[i].hash = hash;
-        slots_[i].key = std::move(key);
-        slots_[i].value = std::move(value);
-        ++size_;
-        ++used_;
-        return {&slots_[i].value, true};
-      }
-    }
-  }
-
-  std::vector<std::uint8_t> states_;
+  std::vector<std::uint8_t> full_;  ///< slot occupied?
   std::vector<Slot> slots_;
-  std::size_t size_ = 0;  ///< live entries
-  std::size_t used_ = 0;  ///< live + tombstoned probe positions
+  std::size_t size_ = 0;
 };
 
 }  // namespace kairos

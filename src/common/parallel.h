@@ -71,9 +71,9 @@ void ParallelFor(std::size_t n, std::size_t threads,
 
 /// The pool-reusing form: identical semantics, but the workers come from
 /// `pool` instead of a pool spawned per call. Barrier-style drivers —
-/// Fleet::ServeAll advancing its shards once per window, a search
-/// evaluating one frontier per pruning round — call this many times per
-/// run and must not pay thread spawn each time. The caller must own the
+/// Fleet::ServeAll advancing its shards once per window, the inference
+/// kernels once per layer — call this many times per run and must not
+/// pay thread spawn each time. The caller must own the
 /// pool exclusively for the duration of the call: Wait() returns only
 /// when *all* work submitted to the pool has finished.
 void ParallelFor(ThreadPool& pool, std::size_t n,

@@ -1,7 +1,6 @@
 #include "core/fleet.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <initializer_list>
 #include <limits>
@@ -399,7 +398,7 @@ StatusOr<PlannerOutcome> Fleet::PlanInShare(
   PlanRequest request;
   request.monitor = &monitor;
   request.search = search;
-  std::atomic<std::uint64_t> trials{0};
+  std::uint64_t trials = 0;
   if (backend.NeedsEvaluations()) {
     // Evaluation-driven backends (KAIROS+, BRUTE-FORCE) measure configs
     // against a snapshot of the planning mix in a nested simulation that
@@ -412,17 +411,16 @@ StatusOr<PlannerOutcome> Fleet::PlanInShare(
       return session.MeasureThroughput(config, mix, eval_options).qps;
     };
     if (tel != nullptr) {
-      // Per-trial evaluation spans. Trials may run on the search pool
-      // (eval_threads > 1): span emission rides the tracer's per-shard
-      // mutex, and the trial count lands on the fleet shard's counter
-      // once, back on this thread.
+      // Per-trial evaluation spans. The search runs the EvalFn on this
+      // thread only, so the trial count is a plain local that lands on
+      // the fleet shard's counter once, after Plan() returns.
       request.eval = [inner = std::move(request.eval), tracer = &tel->tracer(),
                       shard = tel->fleet_shard(), &trials,
                       name = names_[i]](const cloud::Config& config) {
         telemetry::ScopedSpan span(tracer, shard, "planner.eval");
         span.AddArg("model", name);
         span.AddArg("instances", std::to_string(config.TotalInstances()));
-        trials.fetch_add(1, std::memory_order_relaxed);
+        ++trials;
         return inner(config);
       };
     }
@@ -430,7 +428,7 @@ StatusOr<PlannerOutcome> Fleet::PlanInShare(
   auto outcome = backend.Plan(ctx, request);
   if (tel != nullptr && request.eval != nullptr) {
     tel->metrics().Add(tel->planner_trials(), tel->fleet_shard(),
-                       static_cast<double>(trials.load()));
+                       static_cast<double>(trials));
   }
   if (!outcome.ok()) return ForModel(names_[i], outcome.status());
   if (padded) {

@@ -1,5 +1,6 @@
 #include "search/hill_climb.h"
 
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -25,8 +26,10 @@ HillClimbResult HillClimb(const std::vector<int>& grid,
   std::size_t pos = grid.size() / 2;
   double here = probe(pos);
   while (true) {
-    double left = pos > 0 ? probe(pos - 1) : -1.0;
-    double right = pos + 1 < grid.size() ? probe(pos + 1) : -1.0;
+    // A missing neighbour must lose to any value, negative ones included.
+    constexpr double kNone = -std::numeric_limits<double>::infinity();
+    double left = pos > 0 ? probe(pos - 1) : kNone;
+    double right = pos + 1 < grid.size() ? probe(pos + 1) : kNone;
     if (left > here && left >= right) {
       --pos;
       here = left;

@@ -1,7 +1,6 @@
 #include "search/kairos_plus.h"
 
 #include <algorithm>
-#include <map>
 
 namespace kairos::search {
 
@@ -9,57 +8,25 @@ SearchResult KairosPlusSearch(const std::vector<ub::RankedConfig>& ranked,
                               const EvalFn& eval,
                               const SearchOptions& options) {
   CountingEvaluator evaluator(eval);
-
-  std::vector<cloud::Config> configs;
-  configs.reserve(ranked.size());
-  std::map<cloud::Config, double> bound_of;
   for (const ub::RankedConfig& rc : ranked) {
-    configs.push_back(rc.config);
-    bound_of.emplace(rc.config, rc.upper_bound);
-  }
-  CandidatePool pool(std::move(configs));
-
-  const std::size_t frontier_k = FrontierWidth(options.eval_threads);
-  std::size_t prefetched_to = 0;  ///< ranked[0, prefetched_to) considered
-
-  for (std::size_t idx = 0; idx < ranked.size(); ++idx) {
-    const ub::RankedConfig& rc = ranked[idx];
-    if (pool.empty() || evaluator.evals() >= options.max_evals) break;
-    if (!pool.Contains(rc.config)) continue;  // pruned earlier
-
-    if (frontier_k > 1 && idx >= prefetched_to) {
-      // Speculatively evaluate the UB-ordered frontier: the next up-to-k
-      // still-alive candidates, capped at the remaining eval budget. The
-      // serial commit below preserves Algorithm 1's count/best semantics
-      // exactly; results for candidates pruned before their turn are
-      // dropped unseen.
-      const std::size_t budget_left = options.max_evals - evaluator.evals();
-      std::vector<cloud::Config> frontier;
-      std::size_t j = idx;
-      for (; j < ranked.size() &&
-             frontier.size() < std::min(frontier_k, budget_left);
-           ++j) {
-        if (pool.Contains(ranked[j].config)) {
-          frontier.push_back(ranked[j].config);
-        }
-      }
-      prefetched_to = j;
-      evaluator.EvaluateBatch(frontier, frontier_k);
+    if (evaluator.evals() >= options.max_evals) break;
+    // Upper-bound pruning: nothing bounded at or below the best observed
+    // throughput can become the new best, and `ranked` is sorted by bound,
+    // so the first such entry ends the walk.
+    if (evaluator.evals() > 0 && rc.upper_bound <= evaluator.best_qps()) {
+      break;
     }
-
+    // Sub-configuration pruning: adding instances never lowers throughput,
+    // so a strict sub-configuration of a measured config cannot beat it.
+    const auto& history = evaluator.history();
+    if (options.subconfig_pruning &&
+        std::any_of(history.begin(), history.end(),
+                    [&](const EvalRecord& r) {
+                      return rc.config.IsSubConfigOf(r.config);
+                    })) {
+      continue;
+    }
     const double qps = evaluator(rc.config);
-    pool.Remove(rc.config);
-
-    // Prune by upper bound: nothing bounded at or below the best observed
-    // throughput can become the new best.
-    const double best = evaluator.best_qps();
-    pool.RemoveIf([&](const cloud::Config& c) {
-      return bound_of.at(c) <= best;
-    });
-    // Prune sub-configurations of what we just measured.
-    if (options.subconfig_pruning) {
-      pool.RemoveSubConfigsOf(rc.config);
-    }
     if (options.target_qps > 0.0 && qps >= options.target_qps) break;
   }
   return evaluator.ToResult();

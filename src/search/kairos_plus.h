@@ -1,10 +1,10 @@
 // Kairos+ (Algorithm 1): upper-bound-assisted online search. Walks the
-// configurations in descending upper-bound order; after each evaluation it
-// (a) prunes every candidate whose upper bound cannot beat the best
-// throughput seen so far, and (b) prunes every sub-configuration of the
-// evaluated config. Terminates when the candidate pool is exhausted — at
-// which point the best evaluated configuration is the optimum, assuming
-// the upper bounds are valid.
+// configurations once, in descending upper-bound order, evaluating each
+// in turn; it (a) stops at the first candidate whose upper bound cannot
+// beat the best throughput seen so far, and (b) skips every strict
+// sub-configuration of an evaluated config. When the walk ends on its
+// own, the best evaluated configuration is the optimum, assuming the
+// upper bounds are valid.
 #pragma once
 
 #include "search/search.h"
@@ -12,8 +12,9 @@
 
 namespace kairos::search {
 
-/// Runs Algorithm 1 over a ranked candidate list (descending upper bound,
-/// as produced by ub::RankByUpperBound).
+/// Runs Algorithm 1 over a ranked candidate list. Precondition: `ranked`
+/// is in non-increasing `upper_bound` order, as ub::RankByUpperBound
+/// produces it; the bound cutoff relies on it.
 SearchResult KairosPlusSearch(const std::vector<ub::RankedConfig>& ranked,
                               const EvalFn& eval,
                               const SearchOptions& options = {});

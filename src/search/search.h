@@ -4,24 +4,19 @@
 // candidate pool with the sub-configuration pruning rule of Algorithm 1,
 // and the common stopping options.
 //
-// The evaluator has a batched mode for the searches' hot path: a frontier
-// of candidates is evaluated *speculatively* in parallel (EvaluateBatch)
-// and committed lazily, one at a time, in whatever order the search asks
-// for them — so the count, history and best-so-far are bit-identical to a
-// serial walk, and speculative work on candidates the search prunes before
-// their turn is simply discarded, never counted.
+// Every search evaluates serially, one configuration at a time, on the
+// calling thread: the paper counts search cost in evaluations, not wall
+// time, so the EvalFn need not be thread-safe.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "cloud/config.h"
 #include "common/flat_map.h"
-#include "common/parallel.h"
 
 namespace kairos::search {
 
@@ -55,21 +50,8 @@ struct SearchOptions {
   /// (the paper grants this to the competing algorithms too, Sec. 8.3).
   bool subconfig_pruning = true;
 
-  /// Workers evaluating a search frontier concurrently (1 = serial,
-  /// 0 = hardware concurrency). Kairos+/random/genetic speculatively
-  /// evaluate their next up-to-this-many candidates in one batch; the
-  /// SearchResult — best config, best qps, eval count, history order — is
-  /// bit-identical to the serial walk (tests/search_test.cc). Requires the
-  /// EvalFn to be thread-safe; the built-in evaluators (fresh simulator
-  /// per call over const inputs) are.
-  std::size_t eval_threads = 1;
-
   std::uint64_t seed = 1;
 };
-
-/// Resolved width of the speculative evaluation frontier for an
-/// eval_threads request (0 = hardware concurrency); 1 means serial.
-std::size_t FrontierWidth(std::size_t eval_threads);
 
 /// Memoizes and counts evaluations. Re-evaluating a config is free and does
 /// not increment the count (matching how the paper counts evaluations).
@@ -77,24 +59,8 @@ class CountingEvaluator {
  public:
   explicit CountingEvaluator(EvalFn fn);
 
-  /// Evaluates (or recalls) a config's throughput. A staged EvaluateBatch
-  /// result is committed — counted, recorded in history — here.
+  /// Evaluates (or recalls) a config's throughput.
   double operator()(const cloud::Config& config);
-
-  /// The batched mode: computes the EvalFn for every distinct config in
-  /// `configs` that is neither memoized nor already staged, concurrently
-  /// across up to `threads` workers (0 = hardware concurrency, reusing one
-  /// internal pool across calls), and *stages* the results. Nothing is
-  /// committed: evals(), history() and best are untouched until operator()
-  /// asks for a staged config. Requires a thread-safe EvalFn.
-  ///
-  /// With a serial frontier (`threads` resolves to one worker) or fewer
-  /// than two candidates, this is a no-op: staging buys nothing over the
-  /// lazy operator() walk and its bookkeeping was a measured regression
-  /// (evals_per_sec_kairos_plus_batched < serial in bench history), so the
-  /// serial path stays byte-for-byte the serial walk.
-  void EvaluateBatch(const std::vector<cloud::Config>& configs,
-                     std::size_t threads);
 
   std::size_t evals() const { return history_.size(); }
   const std::vector<EvalRecord>& history() const { return history_; }
@@ -105,15 +71,11 @@ class CountingEvaluator {
   SearchResult ToResult() const;
 
  private:
-  /// Open-addressing memo keyed by the 64-bit config fingerprint, probed
-  /// with the fingerprint precomputed once per lookup — this map is the
-  /// per-evaluation overhead every Fig. 10/11 search pays.
-  using Memo = FlatHashMap<cloud::Config, double, cloud::ConfigHash>;
-
   EvalFn fn_;
-  Memo memo_;    ///< committed (counted) evaluations
-  Memo staged_;  ///< speculative EvaluateBatch results, not yet counted
-  std::unique_ptr<ThreadPool> pool_;  ///< lazily spawned, reused per batch
+  /// Open-addressing memo keyed by the 64-bit config fingerprint, probed
+  /// with the fingerprint computed once per lookup — this map is the
+  /// per-evaluation overhead every Fig. 10/11 search pays.
+  FlatHashMap<cloud::Config, double> memo_;
   std::vector<EvalRecord> history_;
   double best_qps_ = 0.0;
   cloud::Config best_config_;

@@ -4,12 +4,13 @@
 // timestamps in microseconds — telemetry is observational output only and
 // never feeds back into simulated time, RNG, or results.
 //
-// Thread safety: each shard's ring is guarded by its own mutex. The
-// common case is single-writer-per-shard (uncontended lock, spans are
-// coarse — per engine advance, per barrier, per planner trial — so the
-// lock is nowhere near the metrics hot path), but the mutex makes
-// cross-thread emission safe where it does happen (batched planner
-// evaluation with eval_threads > 1 emits trial spans from pool workers).
+// Thread safety: each shard's ring is guarded by its own mutex. Every
+// current writer is single-writer-per-shard (an engine shard is advanced
+// by one worker between barriers; the fleet shard, planner trials
+// included, is written by the driving thread only), so the lock is
+// uncontended; spans are coarse — per engine advance, per barrier, per
+// planner trial — so it is nowhere near the metrics hot path. The mutex
+// keeps a span emitted from any other thread safe rather than a race.
 #pragma once
 
 #include <chrono>

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "cloud/config_space.h"
+#include "common/rng.h"
 #include "search/annealing.h"
 #include "search/bayes_opt.h"
 #include "search/genetic.h"
@@ -114,6 +115,100 @@ TEST(KairosPlusTest, RespectsMaxEvalsAndTarget) {
   EXPECT_GE(r.best_qps, target.target_qps);
 }
 
+// The pool-based Algorithm 1 loop that KairosPlusSearch's single walk
+// replaced, kept as its oracle: after every evaluation, prune the whole
+// candidate pool by upper bound and by sub-configuration.
+SearchResult ReferencePoolWalk(const std::vector<ub::RankedConfig>& ranked,
+                               const EvalFn& eval,
+                               const SearchOptions& options) {
+  CountingEvaluator evaluator(eval);
+  std::vector<Config> configs;
+  std::map<Config, double> bound_of;
+  for (const ub::RankedConfig& rc : ranked) {
+    configs.push_back(rc.config);
+    bound_of.emplace(rc.config, rc.upper_bound);
+  }
+  CandidatePool pool(std::move(configs));
+  for (const ub::RankedConfig& rc : ranked) {
+    if (pool.empty() || evaluator.evals() >= options.max_evals) break;
+    if (!pool.Contains(rc.config)) continue;
+    const double qps = evaluator(rc.config);
+    pool.Remove(rc.config);
+    const double best = evaluator.best_qps();
+    pool.RemoveIf([&](const Config& c) { return bound_of.at(c) <= best; });
+    if (options.subconfig_pruning) pool.RemoveSubConfigsOf(rc.config);
+    if (options.target_qps > 0.0 && qps >= options.target_qps) break;
+  }
+  return evaluator.ToResult();
+}
+
+TEST(KairosPlusTest, MatchesPoolBasedReferenceWalk) {
+  enum BoundKind { kValid, kExact, kAllZero, kTied, kArbitrary, kNumKinds };
+  constexpr std::size_t kCapChoices = 8;  // max_evals 0..6, then unlimited
+  std::size_t total_evals = 0;
+  for (std::uint64_t seed = 0; seed < 1600; ++seed) {
+    const auto kind = static_cast<BoundKind>(seed % kNumKinds);
+    const std::size_t cap_choice = (seed / kNumKinds) % kCapChoices;
+    const bool pruning = (seed / (kNumKinds * kCapChoices)) % 2 == 0;
+    const bool use_target = (seed / (2 * kNumKinds * kCapChoices)) % 2 == 1;
+    Rng rng(seed + 1);
+
+    // A 2- or 3-type lattice with a random subset dropped, as a budget
+    // would; qps is coarsely quantized so measured values tie too.
+    const std::size_t dims = rng.Bernoulli(0.5) ? 2 : 3;
+    std::vector<int> max_count(dims);
+    for (int& m : max_count) m = static_cast<int>(rng.UniformInt(1, 4));
+    std::vector<Config> configs;
+    std::vector<int> counts(dims, 0);
+    counts[0] = 1;
+    while (true) {
+      if (rng.Bernoulli(0.8)) configs.emplace_back(counts);
+      std::size_t d = 0;
+      for (; d < dims; ++d) {  // odometer step; the first type starts at 1
+        if (++counts[d] <= max_count[d]) break;
+        counts[d] = d == 0 ? 1 : 0;
+      }
+      if (d == dims) break;
+    }
+    if (configs.empty()) continue;
+    std::map<Config, double> qps_of;
+    std::vector<double> bounds;
+    for (const Config& c : configs) {
+      const double qps = std::round(rng.Uniform(0.0, 20.0));
+      qps_of.emplace(c, qps);
+      switch (kind) {
+        case kValid: bounds.push_back(qps * rng.Uniform(1.0, 1.3)); break;
+        case kExact: bounds.push_back(qps); break;
+        case kAllZero: bounds.push_back(0.0); break;
+        case kTied: bounds.push_back(std::round(qps * 1.2 / 5.0) * 5.0); break;
+        default: bounds.push_back(rng.Uniform(0.0, 25.0)); break;
+      }
+    }
+    const auto ranked = ub::RankByUpperBound(configs, bounds);
+    const EvalFn eval = [&](const Config& c) { return qps_of.at(c); };
+
+    SearchOptions options;
+    options.subconfig_pruning = pruning;
+    if (cap_choice < kCapChoices - 1) options.max_evals = cap_choice;
+    if (use_target) options.target_qps = std::round(rng.Uniform(5.0, 20.0));
+
+    const SearchResult want = ReferencePoolWalk(ranked, eval, options);
+    const SearchResult got = KairosPlusSearch(ranked, eval, options);
+    ASSERT_EQ(got.evals, want.evals) << "seed " << seed;
+    ASSERT_EQ(got.best_qps, want.best_qps) << "seed " << seed;
+    ASSERT_EQ(got.best_config, want.best_config) << "seed " << seed;
+    ASSERT_EQ(got.history.size(), want.history.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.history.size(); ++i) {
+      ASSERT_EQ(got.history[i].config, want.history[i].config)
+          << "seed " << seed << " eval " << i;
+      ASSERT_EQ(got.history[i].qps, want.history[i].qps)
+          << "seed " << seed << " eval " << i;
+    }
+    total_evals += got.evals;
+  }
+  EXPECT_GT(total_evals, 0u);
+}
+
 // All baseline searches must eventually reach the optimum when given the
 // target and an unlimited budget (they are exhaustive-in-the-limit).
 enum class Algo { kRandom, kGenetic, kAnnealing, kBayesOpt };
@@ -169,123 +264,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          Algo::kAnnealing, Algo::kBayesOpt),
                        ::testing::Values(1u, 2u, 3u)),
     AlgoCaseName);
-
-TEST(CountingEvaluatorTest, EvaluateBatchStagesWithoutCounting) {
-  int raw_calls = 0;
-  CountingEvaluator eval([&](const Config& c) {
-    ++raw_calls;
-    return SyntheticQps(c);
-  });
-  const std::vector<Config> frontier = {Config({2, 1}), Config({1, 3}),
-                                        Config({2, 1})};  // dup collapses
-  eval.EvaluateBatch(frontier, 2);
-  EXPECT_EQ(raw_calls, 2);   // distinct configs computed speculatively
-  EXPECT_EQ(eval.evals(), 0u);  // nothing committed yet
-  // Committing pulls the staged value — no recompute — and counts it.
-  EXPECT_DOUBLE_EQ(eval(Config({2, 1})), SyntheticQps(Config({2, 1})));
-  EXPECT_EQ(raw_calls, 2);
-  EXPECT_EQ(eval.evals(), 1u);
-  // A staged-but-never-committed result is never counted, yet a staged
-  // re-batch does not recompute it either.
-  eval.EvaluateBatch({Config({1, 3})}, 2);
-  EXPECT_EQ(raw_calls, 2);
-  EXPECT_EQ(eval.evals(), 1u);
-}
-
-// Batched frontier evaluation is a wall-clock optimisation only: for any
-// eval_threads the SearchResult — best config, best qps, unique-eval count
-// and the history order itself — must be bit-identical to the serial walk.
-class BatchedSearchMatchesSerial
-    : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BatchedSearchMatchesSerial, KairosPlus) {
-  const auto configs = Lattice(4, 6);
-  std::vector<double> bounds;
-  for (const Config& c : configs) bounds.push_back(SyntheticUpperBound(c));
-  const auto ranked = ub::RankByUpperBound(configs, bounds);
-
-  SearchOptions serial;
-  serial.seed = 5;
-  SearchOptions batched = serial;
-  batched.eval_threads = GetParam();
-  const SearchResult a = KairosPlusSearch(ranked, SyntheticQps, serial);
-  const SearchResult b = KairosPlusSearch(ranked, SyntheticQps, batched);
-  EXPECT_EQ(a.best_config, b.best_config);
-  EXPECT_EQ(a.best_qps, b.best_qps);
-  EXPECT_EQ(a.evals, b.evals);
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t i = 0; i < a.history.size(); ++i) {
-    EXPECT_EQ(a.history[i].config, b.history[i].config);
-    EXPECT_EQ(a.history[i].qps, b.history[i].qps);
-  }
-}
-
-TEST_P(BatchedSearchMatchesSerial, KairosPlusWithCaps) {
-  const auto configs = Lattice(4, 6);
-  std::vector<double> bounds;
-  for (const Config& c : configs) bounds.push_back(SyntheticUpperBound(c));
-  const auto ranked = ub::RankByUpperBound(configs, bounds);
-
-  SearchOptions serial;
-  serial.max_evals = 5;
-  SearchOptions batched = serial;
-  batched.eval_threads = GetParam();
-  const SearchResult a = KairosPlusSearch(ranked, SyntheticQps, serial);
-  const SearchResult b = KairosPlusSearch(ranked, SyntheticQps, batched);
-  EXPECT_EQ(a.best_config, b.best_config);
-  EXPECT_EQ(a.evals, b.evals);
-
-  SearchOptions serial_target;
-  serial_target.target_qps = SyntheticQps(Argmax(configs)) * 0.9;
-  SearchOptions batched_target = serial_target;
-  batched_target.eval_threads = GetParam();
-  const SearchResult c = KairosPlusSearch(ranked, SyntheticQps, serial_target);
-  const SearchResult d = KairosPlusSearch(ranked, SyntheticQps, batched_target);
-  EXPECT_EQ(c.best_config, d.best_config);
-  EXPECT_EQ(c.evals, d.evals);
-}
-
-TEST_P(BatchedSearchMatchesSerial, RandomSearch) {
-  const auto configs = Lattice(4, 6);
-  SearchOptions serial;
-  serial.seed = 9;
-  serial.max_evals = 20;
-  SearchOptions batched = serial;
-  batched.eval_threads = GetParam();
-  const SearchResult a = RandomSearch(configs, SyntheticQps, serial);
-  const SearchResult b = RandomSearch(configs, SyntheticQps, batched);
-  EXPECT_EQ(a.best_config, b.best_config);
-  EXPECT_EQ(a.best_qps, b.best_qps);
-  EXPECT_EQ(a.evals, b.evals);
-}
-
-TEST_P(BatchedSearchMatchesSerial, GeneticSearch) {
-  const auto configs = Lattice(4, 6);
-  for (const std::uint64_t seed : {1u, 7u, 23u}) {
-    SearchOptions serial;
-    serial.seed = seed;
-    serial.max_evals = 40;
-    SearchOptions batched = serial;
-    batched.eval_threads = GetParam();
-    GeneticOptions ga;
-    ga.generations = 6;
-    const SearchResult a = GeneticSearch(configs, SyntheticQps, serial, ga);
-    const SearchResult b = GeneticSearch(configs, SyntheticQps, batched, ga);
-    EXPECT_EQ(a.best_config, b.best_config);
-    EXPECT_EQ(a.best_qps, b.best_qps);
-    EXPECT_EQ(a.evals, b.evals);
-    ASSERT_EQ(a.history.size(), b.history.size());
-    for (std::size_t i = 0; i < a.history.size(); ++i) {
-      EXPECT_EQ(a.history[i].config, b.history[i].config);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(EvalThreads, BatchedSearchMatchesSerial,
-                         ::testing::Values(2u, 4u, 8u),
-                         [](const ::testing::TestParamInfo<std::size_t>& i) {
-                           return std::to_string(i.param) + "threads";
-                         });
 
 TEST(AnnealingTest, RecordsExplorationHistory) {
   const auto configs = Lattice(4, 6);
