@@ -53,7 +53,7 @@ int main() {
   runs.push_back({"KAIROS (one-shot)", {selection.chosen}});
 
   // Kairos+: Algorithm 1's evaluation sequence, then stay on its best.
-  const auto kp = search::KairosPlusSearch(ranked, eval);
+  const auto kp = search::KairosPlusSearch(ub::RankedList(ranked), eval);
   {
     Transcript t{"KAIROS+", {}};
     for (const auto& rec : kp.history) t.visits.push_back(rec.config);

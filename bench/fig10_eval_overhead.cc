@@ -48,7 +48,7 @@ int main() {
           return mb.Throughput(c, scheme, mix, guess);
         };
       }
-      const auto r = search::KairosPlusSearch(ranked, eval);
+      const auto r = search::KairosPlusSearch(ub::RankedList(ranked), eval);
       return static_cast<double>(r.evals) * (1.0 + extra_per_eval);
     };
 

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
             << outcome->config.CostPerHour(catalog) << "/hr, "
             << outcome->evaluations << " online evaluations)\n";
   if (outcome->plan.has_value()) {
-    std::cout << "search space: " << outcome->plan->ranked.size()
+    std::cout << "search space: " << outcome->plan->space_size
               << " configurations, rank " << outcome->plan->selection.chosen_rank
               << " by upper bound, "
               << (outcome->plan->selection.used_distance_rule

@@ -31,7 +31,7 @@ struct SpaceWalk {
       return;
     }
     const double price = catalog[type].price_per_hour;
-    const int max_count = static_cast<int>(std::floor(remaining / price + 1e-9));
+    const int max_count = MaxAffordable(price, remaining);
     for (int c = 0; c <= max_count; ++c) {
       counts[type] = c;
       Level(type + 1, remaining - c * price);
@@ -60,10 +60,13 @@ std::vector<Config> EnumerateConfigs(const Catalog& catalog,
   return out;
 }
 
+int MaxAffordable(double price_per_hour, double budget_per_hour) {
+  return static_cast<int>(std::floor(budget_per_hour / price_per_hour + 1e-9));
+}
+
 Config BestHomogeneous(const Catalog& catalog, double budget_per_hour) {
   const TypeId base = catalog.BaseType();
-  const double price = catalog[base].price_per_hour;
-  const int count = static_cast<int>(std::floor(budget_per_hour / price + 1e-9));
+  const int count = MaxAffordable(catalog[base].price_per_hour, budget_per_hour);
   if (count < 1) {
     throw std::invalid_argument(
         "BestHomogeneous: budget cannot afford one base instance");

@@ -25,8 +25,10 @@ struct ConfigSpaceOptions {
 using ConfigVisitor = std::function<void(std::span<const int> counts)>;
 
 /// Visits every config within budget, in lexicographic order, without
-/// materializing the space. The search space is small by construction
-/// (order of 1e2-1e4 configs).
+/// materializing the space. Spaces run from a handful of configs at a
+/// one-instance budget to tens of thousands (NCF at $9.90/hr on the
+/// paper's four-type pool: 73,969), so visitors should not allocate per
+/// config.
 void ForEachConfig(const Catalog& catalog, const ConfigSpaceOptions& options,
                    const ConfigVisitor& visit);
 
@@ -34,8 +36,13 @@ void ForEachConfig(const Catalog& catalog, const ConfigSpaceOptions& options,
 std::vector<Config> EnumerateConfigs(const Catalog& catalog,
                                      const ConfigSpaceOptions& options);
 
+/// The most instances at `price_per_hour` that `budget_per_hour` buys
+/// (with a 1e-9 tolerance, so a budget of exactly k prices buys k).
+int MaxAffordable(double price_per_hour, double budget_per_hour);
+
 /// The optimal homogeneous configuration (Sec. 4): the maximum number of
-/// base instances that fits the budget, zero auxiliaries.
+/// base instances that fits the budget, zero auxiliaries. Throws
+/// std::invalid_argument when not even one base instance fits.
 Config BestHomogeneous(const Catalog& catalog, double budget_per_hour);
 
 /// The fraction of the budget a config leaves unused, in [0, 1].

@@ -1,6 +1,7 @@
 #include "core/kairos.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace kairos::core {
 
@@ -24,15 +25,25 @@ void Kairos::ObserveMix(const workload::BatchDistribution& mix) {
   }
 }
 
+namespace {
+
+template <typename T>
+T ValueOrThrow(StatusOr<T> result) {
+  if (!result.ok()) throw std::invalid_argument(result.status().ToString());
+  return *std::move(result);
+}
+
+}  // namespace
+
 Plan Kairos::PlanConfiguration() const {
   PlannerContext ctx{&catalog_, &truth_, qos_ms_, options_.budget_per_hour};
-  return Planner(ctx).PlanConfiguration(monitor_);
+  return ValueOrThrow(Planner(ctx).PlanConfiguration(monitor_));
 }
 
 search::SearchResult Kairos::PlanWithEvaluations(
     const search::EvalFn& eval, const search::SearchOptions& options) const {
   PlannerContext ctx{&catalog_, &truth_, qos_ms_, options_.budget_per_hour};
-  return Planner(ctx).PlanWithEvaluations(monitor_, eval, options);
+  return ValueOrThrow(Planner(ctx).PlanWithEvaluations(monitor_, eval, options));
 }
 
 Runtime Kairos::Deploy(const cloud::Config& config) const {

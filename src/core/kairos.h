@@ -71,10 +71,13 @@ class Kairos {
   /// Drops stale workload statistics (e.g. after a regime change).
   void ResetMonitor() { monitor_.Reset(); }
 
-  /// One-shot Kairos planning (no online evaluation).
+  /// One-shot Kairos planning (no online evaluation). Throws
+  /// std::invalid_argument when no configuration fits the budget; the
+  /// PlannerRegistry backends report that as kInfeasible instead.
   Plan PlanConfiguration() const;
 
   /// Kairos+ planning; `eval` measures real throughput of a config.
+  /// Throws std::invalid_argument when no configuration fits the budget.
   search::SearchResult PlanWithEvaluations(
       const search::EvalFn& eval,
       const search::SearchOptions& options = {}) const;

@@ -1,13 +1,18 @@
-// The Kairos resource allocator (Sec. 5.2, Fig. 4 right half): enumerate
-// the budgeted configuration space, estimate every upper bound from the
-// monitored workload, rank, and apply the similarity rule — no online
-// evaluation. PlanWithEvaluations() is the Kairos+ variant that spends a
-// bounded number of real evaluations guided by the same bounds.
+// The Kairos resource allocator (Sec. 5.2, Fig. 4 right half): walk the
+// budgeted configuration space once, estimate every upper bound from the
+// monitored workload, and apply the similarity rule to the top of the
+// ranking — no online evaluation. PlanWithEvaluations() is the Kairos+
+// variant that spends a bounded number of real evaluations guided by the
+// same bounds. Neither materializes the space: one-shot planning keeps
+// only the top-10 region as the walk streams past, Kairos+ ranks a flat
+// table lazily and builds a Config only for the ranks its walk reaches.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "cloud/config_space.h"
+#include "common/status.h"
 #include "search/kairos_plus.h"
 #include "search/search.h"
 #include "ub/selector.h"
@@ -24,11 +29,15 @@ struct PlannerContext {
   double budget_per_hour = 2.5;  ///< paper default
 };
 
-/// A one-shot plan: the chosen configuration plus full diagnostics.
+/// kInfeasible: no configuration with a base instance fits the budget.
+Status NothingFits(const PlannerContext& ctx);
+
+/// A one-shot plan: the chosen configuration plus its diagnostics.
 struct Plan {
   cloud::Config config;               ///< Kairos's pick
   ub::SelectionResult selection;      ///< how it was picked
-  std::vector<ub::RankedConfig> ranked;  ///< all candidates, UB-descending
+  std::vector<ub::RankedConfig> ranked;  ///< the top-10 region, UB-descending
+  std::size_t space_size = 0;         ///< configs in the budgeted space
 };
 
 /// Stateless planner bound to one PlannerContext.
@@ -42,25 +51,22 @@ class Planner {
   /// The budgeted configuration space, materialized.
   std::vector<cloud::Config> ConfigSpace() const;
 
-  /// One-shot Kairos planning from monitored workload statistics.
-  Plan PlanConfiguration(const workload::QueryMonitor& monitor) const;
+  /// The first `k` configs of the budgeted space in rank order (bound
+  /// descending, enumeration index ascending), from one walk.
+  ub::TopRanked TopByUpperBound(const workload::QueryMonitor& monitor,
+                                std::size_t k) const;
 
-  /// Same, over a pre-enumerated candidate space (callers that already
-  /// hold ConfigSpace() avoid re-enumerating). `space` must be non-empty.
-  Plan PlanConfiguration(const workload::QueryMonitor& monitor,
-                         const std::vector<cloud::Config>& space) const;
+  /// One-shot Kairos planning from monitored workload statistics.
+  /// kInfeasible when no configuration fits the budget.
+  StatusOr<Plan> PlanConfiguration(
+      const workload::QueryMonitor& monitor) const;
 
   /// Kairos+: upper-bound-guided online search using `eval` for real
-  /// throughput measurements (Algorithm 1).
-  search::SearchResult PlanWithEvaluations(
+  /// throughput measurements (Algorithm 1). kInfeasible when no
+  /// configuration fits the budget.
+  StatusOr<search::SearchResult> PlanWithEvaluations(
       const workload::QueryMonitor& monitor, const search::EvalFn& eval,
       const search::SearchOptions& options = {}) const;
-
-  /// Same, over a pre-enumerated candidate space.
-  search::SearchResult PlanWithEvaluations(
-      const workload::QueryMonitor& monitor, const search::EvalFn& eval,
-      const search::SearchOptions& options,
-      const std::vector<cloud::Config>& space) const;
 
   const PlannerContext& context() const { return ctx_; }
 

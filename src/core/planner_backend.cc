@@ -1,7 +1,5 @@
 #include "core/planner_backend.h"
 
-#include <algorithm>
-#include <span>
 #include <utility>
 
 #include "cloud/config_space.h"
@@ -29,19 +27,6 @@ Status ValidateRequest(const PlannerContext& ctx, const PlanRequest& request) {
   return Status::Ok();
 }
 
-Status NothingFits(const PlannerContext& ctx) {
-  return Status::Infeasible("no configuration with a base instance fits " +
-                            FormatDollarsPerHour(ctx.budget_per_hour));
-}
-
-/// The budgeted space (enumerated once, reused by the planner), or
-/// kInfeasible when not even one base instance fits.
-StatusOr<std::vector<cloud::Config>> BudgetedSpace(const PlannerContext& ctx) {
-  std::vector<cloud::Config> space = Planner(ctx).ConfigSpace();
-  if (space.empty()) return NothingFits(ctx);
-  return space;
-}
-
 /// One-shot Kairos: rank upper bounds, apply the similarity rule, spend
 /// zero evaluations (Sec. 5.2).
 class KairosBackend final : public PlannerBackend {
@@ -51,13 +36,12 @@ class KairosBackend final : public PlannerBackend {
   StatusOr<PlannerOutcome> Plan(const PlannerContext& ctx,
                                 const PlanRequest& request) const override {
     if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
-    auto space = BudgetedSpace(ctx);
-    if (!space.ok()) return space.status();
+    StatusOr<core::Plan> plan = Planner(ctx).PlanConfiguration(*request.monitor);
+    if (!plan.ok()) return plan.status();
     PlannerOutcome outcome;
-    outcome.plan = Planner(ctx).PlanConfiguration(*request.monitor, *space);
-    outcome.config = outcome.plan->config;
-    outcome.expected_qps =
-        outcome.plan->ranked[outcome.plan->selection.chosen_rank].upper_bound;
+    outcome.config = plan->config;
+    outcome.expected_qps = plan->ranked[plan->selection.chosen_rank].upper_bound;
+    outcome.plan = *std::move(plan);
     return outcome;
   }
 };
@@ -76,17 +60,28 @@ class KairosPlusBackend final : public PlannerBackend {
       return Status::FailedPrecondition(
           "backend KAIROS+ needs PlanRequest::eval");
     }
-    auto space = BudgetedSpace(ctx);
-    if (!space.ok()) return space.status();
-    const search::SearchResult result = Planner(ctx).PlanWithEvaluations(
-        *request.monitor, request.eval, request.search, *space);
+    StatusOr<search::SearchResult> result = Planner(ctx).PlanWithEvaluations(
+        *request.monitor, request.eval, request.search);
+    if (!result.ok()) return result.status();
     PlannerOutcome outcome;
-    outcome.config = result.best_config;
-    outcome.expected_qps = result.best_qps;
-    outcome.evaluations = result.evals;
+    outcome.config = std::move(result->best_config);
+    outcome.expected_qps = result->best_qps;
+    outcome.evaluations = result->evals;
     return outcome;
   }
 };
+
+/// HOMOGENEOUS's pick, or kInfeasible when the budget buys no base
+/// instance (cloud::BestHomogeneous would throw).
+StatusOr<cloud::Config> HomogeneousConfig(const PlannerContext& ctx) {
+  const cloud::InstanceType& base = (*ctx.catalog)[ctx.catalog->BaseType()];
+  if (cloud::MaxAffordable(base.price_per_hour, ctx.budget_per_hour) < 1) {
+    return Status::Infeasible("budget " +
+                              FormatDollarsPerHour(ctx.budget_per_hour) +
+                              " does not buy one base instance");
+  }
+  return cloud::BestHomogeneous(*ctx.catalog, ctx.budget_per_hour);
+}
 
 /// The paper's Sec. 4 baseline: as many base instances as the budget buys.
 class HomogeneousBackend final : public PlannerBackend {
@@ -96,17 +91,12 @@ class HomogeneousBackend final : public PlannerBackend {
   StatusOr<PlannerOutcome> Plan(const PlannerContext& ctx,
                                 const PlanRequest& request) const override {
     if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
-    const cloud::Config config =
-        cloud::BestHomogeneous(*ctx.catalog, ctx.budget_per_hour);
-    if (config.TotalInstances() == 0) {
-      return Status::Infeasible("budget " +
-                                FormatDollarsPerHour(ctx.budget_per_hour) +
-                                " does not buy one base instance");
-    }
+    StatusOr<cloud::Config> config = HomogeneousConfig(ctx);
+    if (!config.ok()) return config.status();
     PlannerOutcome outcome;
-    outcome.config = config;
+    outcome.config = *std::move(config);
     if (request.eval != nullptr) {
-      outcome.expected_qps = request.eval(config);
+      outcome.expected_qps = request.eval(outcome.config);
       outcome.evaluations = 1;
     }
     return outcome;
@@ -118,18 +108,13 @@ class HomogeneousBackend final : public PlannerBackend {
   StatusOr<PlannerOutcome> Probe(const PlannerContext& ctx,
                                  const PlanRequest& request) const override {
     if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
-    const cloud::Config config =
-        cloud::BestHomogeneous(*ctx.catalog, ctx.budget_per_hour);
-    if (config.TotalInstances() == 0) {
-      return Status::Infeasible("budget " +
-                                FormatDollarsPerHour(ctx.budget_per_hour) +
-                                " does not buy one base instance");
-    }
+    StatusOr<cloud::Config> config = HomogeneousConfig(ctx);
+    if (!config.ok()) return config.status();
     PlannerOutcome outcome;
-    outcome.config = config;
+    outcome.config = *std::move(config);
     outcome.expected_qps =
         ub::UpperBoundEstimator(*ctx.catalog, *ctx.truth, ctx.qos_ms)
-            .QpsMax(config, *request.monitor);
+            .QpsMax(outcome.config, *request.monitor);
     return outcome;
   }
 };
@@ -148,11 +133,11 @@ class BruteForceBackend final : public PlannerBackend {
       return Status::FailedPrecondition(
           "backend BRUTE-FORCE needs PlanRequest::eval");
     }
-    auto space = BudgetedSpace(ctx);
-    if (!space.ok()) return space.status();
+    const std::vector<cloud::Config> space = Planner(ctx).ConfigSpace();
+    if (space.empty()) return NothingFits(ctx);
     PlannerOutcome outcome;
     double best = -1.0;
-    for (const cloud::Config& config : *space) {
+    for (const cloud::Config& config : space) {
       if (outcome.evaluations >= request.search.max_evals) break;
       const double qps = request.eval(config);
       ++outcome.evaluations;
@@ -195,28 +180,14 @@ StatusOr<PlannerOutcome> PlannerBackend::Probe(
   // similarity-rule pick: the space only grows with budget, so this
   // estimate is monotone in ctx.budget_per_hour — exactly the property
   // marginal-utility water-filling needs (a locally dipping estimate
-  // makes greedy allocation abandon a model that still scales). The first
-  // maximal bound in enumeration order is what a stable descending rank
-  // would put in front, so the space is walked once and never ranked.
-  const ub::UpperBoundEstimator estimator(*ctx.catalog, *ctx.truth,
-                                          ctx.qos_ms);
-  ub::UpperBoundEstimator::Scan scan(estimator, *request.monitor);
-  std::vector<int> best_counts;
-  best_counts.reserve(ctx.catalog->size());
-  double best = 0.0;
-  cloud::ForEachConfig(
-      *ctx.catalog, Planner(ctx).SpaceOptions(),
-      [&](std::span<const int> counts) {
-        const double qps = scan.Estimate(counts).qps_max;
-        if (best_counts.empty() || qps > best) {
-          best = qps;
-          best_counts.assign(counts.begin(), counts.end());
-        }
-      });
-  if (best_counts.empty()) return NothingFits(ctx);
+  // makes greedy allocation abandon a model that still scales). That is
+  // rank 0 of the one-shot planner's ranking, kept during one walk.
+  const ub::TopRanked top = Planner(ctx).TopByUpperBound(*request.monitor, 1);
+  if (top.offered() == 0) return NothingFits(ctx);
+  std::vector<ub::RankedConfig> best = top.Ranked();
   PlannerOutcome outcome;
-  outcome.config = cloud::Config(std::move(best_counts));
-  outcome.expected_qps = best;
+  outcome.config = std::move(best.front().config);
+  outcome.expected_qps = best.front().upper_bound;
   return outcome;
 }
 

@@ -37,8 +37,9 @@ struct PlannerOutcome {
   cloud::Config config;        ///< the chosen configuration
   double expected_qps = 0.0;   ///< UB estimate or measured qps
   std::size_t evaluations = 0; ///< real evaluations spent (0 for one-shot)
-  /// Full one-shot diagnostics (ranking, selection rule) when the backend
-  /// produced them; empty for baselines that do not rank upper bounds.
+  /// One-shot diagnostics (the top-10 region of the ranking, the space
+  /// size, the selection rule) when the backend produced them; empty for
+  /// backends that do not apply the similarity rule.
   std::optional<Plan> plan;
 };
 

@@ -12,10 +12,11 @@
 
 namespace kairos::search {
 
-/// Runs Algorithm 1 over a ranked candidate list. Precondition: `ranked`
-/// is in non-increasing `upper_bound` order, as ub::RankByUpperBound
-/// produces it; the bound cutoff relies on it.
-SearchResult KairosPlusSearch(const std::vector<ub::RankedConfig>& ranked,
+/// Runs Algorithm 1 over candidates in rank order: a ub::RankedTable
+/// straight from a walk of the space, or a ub::RankedList over
+/// ub::RankByUpperBound's output. The bound cutoff relies on the order.
+/// Only the ranks the walk reaches are read and materialized.
+SearchResult KairosPlusSearch(const ub::RankedView& ranked,
                               const EvalFn& eval,
                               const SearchOptions& options = {});
 

@@ -167,9 +167,9 @@ TEST_F(PlannerBackendTest, OneShotKairosMatchesPlannerFacade) {
   EXPECT_EQ(outcome->evaluations, 0u);
   EXPECT_GT(outcome->expected_qps, 0.0);
   ASSERT_TRUE(outcome->plan.has_value());
-  const core::Plan direct =
-      core::Planner(Context()).PlanConfiguration(monitor_);
-  EXPECT_EQ(outcome->config, direct.config);
+  const auto direct = core::Planner(Context()).PlanConfiguration(monitor_);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(outcome->config, direct->config);
 }
 
 TEST_F(PlannerBackendTest, EvaluationBackendsRequireEval) {
@@ -223,13 +223,22 @@ TEST_F(PlannerBackendTest, HomogeneousBackendBuysBaseInstancesOnly) {
 }
 
 TEST_F(PlannerBackendTest, InfeasibleBudgetIsStatusNotThrow) {
-  auto backend = PlannerRegistry::Global().Build("KAIROS");
-  ASSERT_TRUE(backend.ok());
   core::PlanRequest request;
   request.monitor = &monitor_;
-  const auto outcome = (*backend)->Plan(Context(/*budget=*/0.01), request);
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kInfeasible);
+  // Supplied so the evaluation backends get past their missing-eval check.
+  request.eval = [](const cloud::Config&) { return 1.0; };
+  for (const std::string& name : PlannerRegistry::Global().ListNames()) {
+    auto backend = PlannerRegistry::Global().Build(name);
+    ASSERT_TRUE(backend.ok());
+    for (const double budget : {0.01, 0.5}) {  // G1 costs $0.526/hr
+      const auto plan = (*backend)->Plan(Context(budget), request);
+      ASSERT_FALSE(plan.ok()) << name << " $" << budget;
+      EXPECT_EQ(plan.status().code(), StatusCode::kInfeasible) << name;
+      const auto probe = (*backend)->Probe(Context(budget), request);
+      ASSERT_FALSE(probe.ok()) << name << " $" << budget;
+      EXPECT_EQ(probe.status().code(), StatusCode::kInfeasible) << name;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

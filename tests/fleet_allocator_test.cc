@@ -227,7 +227,7 @@ TEST(PlannerProbeTest, MatchesTheRankingAtEveryMarginalStep) {
       const auto probe = backend->Probe(ctx, request);
       ASSERT_TRUE(probe.ok()) << spec.name << " $" << b << ": "
                               << probe.status().ToString();
-      const core::Plan plan = core::Planner(ctx).PlanConfiguration(monitor);
+      const core::Plan plan = *core::Planner(ctx).PlanConfiguration(monitor);
       EXPECT_EQ(probe->expected_qps, plan.ranked.front().upper_bound)
           << spec.name << " $" << b;
       EXPECT_EQ(probe->config, plan.ranked.front().config)

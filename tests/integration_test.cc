@@ -98,7 +98,7 @@ TEST(EndToEndSearch, KairosPlusEvaluatesTinyFractionOfSpace) {
     return kairos.MeasureThroughput(c, mix, SmokeEval(30.0)).qps;
   };
   const auto result = kairos.PlanWithEvaluations(eval);
-  const std::size_t space = kairos.PlanConfiguration().ranked.size();
+  const std::size_t space = kairos.PlanConfiguration().space_size;
   EXPECT_GT(result.best_qps, 0.0);
   // Fig. 10: Kairos+ consistently evaluates less than ~1% of the space;
   // allow smoke-level slack.

@@ -91,7 +91,7 @@ TEST(KairosPlusTest, FindsOptimumAndExhaustsPool) {
   for (const Config& c : configs) bounds.push_back(SyntheticUpperBound(c));
   const auto ranked = ub::RankByUpperBound(configs, bounds);
 
-  const SearchResult r = KairosPlusSearch(ranked, SyntheticQps);
+  const SearchResult r = KairosPlusSearch(ub::RankedList(ranked), SyntheticQps);
   EXPECT_EQ(r.best_config, optimum);
   EXPECT_NEAR(r.best_qps, SyntheticQps(optimum), 1e-12);
   // With tight bounds the paper expects aggressive pruning: far fewer
@@ -107,11 +107,11 @@ TEST(KairosPlusTest, RespectsMaxEvalsAndTarget) {
 
   SearchOptions opt;
   opt.max_evals = 3;
-  EXPECT_LE(KairosPlusSearch(ranked, SyntheticQps, opt).evals, 3u);
+  EXPECT_LE(KairosPlusSearch(ub::RankedList(ranked), SyntheticQps, opt).evals, 3u);
 
   SearchOptions target;
   target.target_qps = SyntheticQps(Argmax(configs)) * 0.9;
-  const auto r = KairosPlusSearch(ranked, SyntheticQps, target);
+  const auto r = KairosPlusSearch(ub::RankedList(ranked), SyntheticQps, target);
   EXPECT_GE(r.best_qps, target.target_qps);
 }
 
@@ -193,7 +193,7 @@ TEST(KairosPlusTest, MatchesPoolBasedReferenceWalk) {
     if (use_target) options.target_qps = std::round(rng.Uniform(5.0, 20.0));
 
     const SearchResult want = ReferencePoolWalk(ranked, eval, options);
-    const SearchResult got = KairosPlusSearch(ranked, eval, options);
+    const SearchResult got = KairosPlusSearch(ub::RankedList(ranked), eval, options);
     ASSERT_EQ(got.evals, want.evals) << "seed " << seed;
     ASSERT_EQ(got.best_qps, want.best_qps) << "seed " << seed;
     ASSERT_EQ(got.best_config, want.best_config) << "seed " << seed;
@@ -344,7 +344,7 @@ TEST(SearchComparisonTest, KairosPlusBeatsBaselinesOnEvalCount) {
   for (const Config& c : configs) bounds.push_back(SyntheticUpperBound(c));
   const auto ranked = ub::RankByUpperBound(configs, bounds);
   const std::size_t kairos_evals =
-      KairosPlusSearch(ranked, SyntheticQps, opt).evals;
+      KairosPlusSearch(ub::RankedList(ranked), SyntheticQps, opt).evals;
 
   // Average the stochastic baselines over seeds.
   double rand_evals = 0.0, bo_evals = 0.0;

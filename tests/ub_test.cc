@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cloud/config_space.h"
+#include "common/rng.h"
 #include "core/kairos.h"
 #include "latency/model_zoo.h"
 #include "policy/registry.h"
@@ -353,6 +354,88 @@ TEST(SelectorTest, ShortListsWork) {
 TEST(SelectorTest, SizeMismatchThrows) {
   EXPECT_THROW(RankByUpperBound({Config({1})}, {1.0, 2.0}),
                std::invalid_argument);
+}
+
+// --- Rank order without materializing the space. ---
+
+// Seeded configs with tie-heavy bounds: a handful of distinct values, both
+// signed zeros among them, in random enumeration order.
+struct TiedSpace {
+  std::vector<Config> configs;
+  std::vector<double> bounds;
+};
+
+TiedSpace MakeTiedSpace(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t types = static_cast<std::size_t>(rng.UniformInt(1, 4));
+  const std::size_t n = static_cast<std::size_t>(rng.UniformInt(0, 60));
+  const int distinct = static_cast<int>(rng.UniformInt(1, 6));
+  TiedSpace space;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<int> counts(types);
+    for (int& c : counts) c = static_cast<int>(rng.UniformInt(0, 5));
+    space.configs.emplace_back(std::move(counts));
+    const int level = static_cast<int>(rng.UniformInt(0, distinct));
+    space.bounds.push_back(level == 0   ? (rng.Bernoulli(0.5) ? 0.0 : -0.0)
+                           : level == 1 ? -1.5
+                                        : 10.0 * level);
+  }
+  return space;
+}
+
+TEST(RankedTableTest, RanksLikeTheStableSortUnderHeavyTies) {
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    const TiedSpace space = MakeTiedSpace(seed);
+    const auto want = RankByUpperBound(space.configs, space.bounds);
+    RankedTable table(space.configs.empty() ? 1
+                                            : space.configs[0].NumTypes());
+    for (std::size_t i = 0; i < space.configs.size(); ++i) {
+      table.Append(space.configs[i].counts(), space.bounds[i]);
+    }
+    ASSERT_EQ(table.size(), want.size()) << "seed " << seed;
+    // Ranks resolve lazily, so read them out of order too.
+    if (!want.empty() && seed % 2 == 1) {
+      const std::size_t mid = want.size() / 2;
+      ASSERT_EQ(table.config(mid), want[mid].config) << "seed " << seed;
+    }
+    const RankedList list(want);
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      ASSERT_EQ(table.config(r), want[r].config) << "seed " << seed;
+      ASSERT_EQ(table.bound(r), want[r].upper_bound) << "seed " << seed;
+      ASSERT_EQ(list.config(r), want[r].config);
+      ASSERT_EQ(list.bound(r), want[r].upper_bound);
+    }
+  }
+}
+
+TEST(RankedTableTest, AppendAfterARankReadReranks) {
+  RankedTable table(1);
+  table.Append(std::vector<int>{1}, 5.0);
+  table.Append(std::vector<int>{2}, 7.0);
+  EXPECT_EQ(table.config(0), Config({2}));
+  table.Append(std::vector<int>{3}, 9.0);
+  EXPECT_EQ(table.config(0), Config({3}));
+  EXPECT_EQ(table.config(2), Config({1}));
+}
+
+TEST(TopRankedTest, KeepsTheFirstKOfTheStableSort) {
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    const TiedSpace space = MakeTiedSpace(seed);
+    const auto all = RankByUpperBound(space.configs, space.bounds);
+    const std::size_t types =
+        space.configs.empty() ? 1 : space.configs[0].NumTypes();
+    for (const std::size_t k : {std::size_t{1}, std::size_t{3},
+                                std::size_t{10}, all.size() + 1}) {
+      TopRanked top(k, types);
+      for (std::size_t i = 0; i < space.configs.size(); ++i) {
+        top.Offer(space.configs[i].counts(), space.bounds[i]);
+      }
+      EXPECT_EQ(top.offered(), all.size()) << "seed " << seed;
+      const std::vector<RankedConfig> want(
+          all.begin(), all.begin() + std::min(k, all.size()));
+      ASSERT_EQ(top.Ranked(), want) << "seed " << seed << " k " << k;
+    }
+  }
 }
 
 }  // namespace
